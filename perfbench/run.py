@@ -8,11 +8,13 @@ is configured and built with CMake into $CARGO_TARGET_DIR/perfbench
 (default .bench_build/perfbench); the build log goes to stderr.
 
 A run is PARTS sequential processes of the perfbench binary on the same
-seeded input, each measuring for S / PARTS seconds. Two effects are fixed
-per process on this kind of host: the latency model calibrates its pause
-loop once at start-up (spin_wait_ns(250) measured 210-351 ns from one
-process to the next), and where the pool and the kernels' arrays land
-(CC on one input measured 1.2 ms in some processes, 2.1 ms in others).
+seeded input, each measuring for S / PARTS seconds; each draws the htap and
+kernel phases' insertion orders from the seed and its part index. Two
+effects are fixed per process on this kind of host: the latency model
+calibrates its pause loop once at start-up (spin_wait_ns(250) measured
+210-351 ns from one process to the next), and where the pool and the
+kernels' arrays land (CC on one input measured 1.2 ms in some processes,
+2.1 ms in others).
 Pooling the samples of several processes keeps either from deciding a
 run's figures. Each end-to-end metric is the median of the pooled samples;
 each per-layer metric is the median of the processes' values. The last
@@ -30,9 +32,12 @@ import statistics
 import subprocess
 import sys
 
-WORKLOADS = ("powerlaw", "uniform")
+WORKLOADS = ("orkut", "citpatents")
 PARTS = 4
-PART_TIMEOUT_S = 40
+# A part measures for S / PARTS seconds; set-up, checks and the traced
+# probes take the rest of its time. A part still running after this margin
+# is taken to hang (fault F2 in README) and is killed.
+PART_MARGIN_S = 30
 
 
 def fail(msg, code=2):
@@ -80,20 +85,28 @@ def build(root, build_dir):
     return exe
 
 
-def run_part(exe, a, seconds, scratch):
+def run_part(exe, a, part, seconds, scratch):
     cmd = [exe, "--workload", a.workload, "--seed", str(a.seed),
            "--seconds", repr(seconds), "--trace", a.trace,
-           "--scratch", scratch]
+           "--scratch", scratch, "--part", str(part)]
+    timeout = seconds + PART_MARGIN_S
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
-                            start_new_session=True, text=True)
+                            stderr=subprocess.PIPE, start_new_session=True,
+                            text=True)
     try:
-        out, _ = proc.communicate(timeout=PART_TIMEOUT_S)
+        out, err = proc.communicate(timeout=timeout)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
-        proc.wait()
+        _, err = proc.communicate()
         shutil.rmtree(scratch, ignore_errors=True)
-        fail(f"a part exceeded {PART_TIMEOUT_S} s and was killed", 5)
+        sys.stderr.write(err)
+        phases = [ln for ln in err.splitlines()
+                  if ln.startswith("perfbench: phase ")]
+        hung = phases[-1].split()[-1] if phases else "start"
+        fail(f"a part exceeded {timeout:.0f} s and was killed; failed "
+             f"phase: {hung}", 5)
     shutil.rmtree(scratch, ignore_errors=True)
+    sys.stderr.write(err)
     lines = out.strip().splitlines()
     if not lines:
         fail(f"a part printed no result (exit {proc.returncode})", 6)
@@ -110,7 +123,7 @@ def main():
     code = 0
     for i in range(PARTS):
         scratch = os.path.join(root, target, f"run-{os.getpid()}-p{i}")
-        rc, res = run_part(exe, a, a.seconds / PARTS, scratch)
+        rc, res = run_part(exe, a, i, a.seconds / PARTS, scratch)
         parts.append(res)
         code = code or rc
 

@@ -1,11 +1,12 @@
 // perfbench: end-to-end and per-layer benchmark of the DGAP store.
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1 --scratch DIR
+//             [--part K]
 //
 // One process of one run (run.py starts several in turn and pools their
 // samples). Every workload drives the same pipeline through the program's
-// public calls only, on its own input: a fixed graph whose insertion order
-// comes from --seed.
+// public calls only, on its own input: one of the repository's dataset
+// stand-ins (src/graph/datasets.hpp) whose insertion order comes from --seed.
 //
 //   setup     generate + symmetrize + shuffle the stream, preload it
 //   insert    per-edge inserts into a fresh store (10% warm-up, 90% timed)
@@ -16,15 +17,20 @@
 //   htap      open-loop batches at a fixed rate while this thread runs
 //             freeze + snapshot_delta + incremental PR/CC rounds
 //   kernels   PR, CC, BFS, BC single-threaded on a quiescent snapshot,
-//             each pass paired with one over the CSR of the same cut
+//             each pass paired with the same kernel of reference.hpp
 //
-// Host speed on a shared VM drifts over seconds, so the process runs kLaps
-// laps and every lap runs a slice of every phase. Outputs are checked
-// against reference.hpp. The last stdout line is JSON for run.py: every
-// end-to-end sample, and this process's per-layer figures.
-#include <pthread.h>
-#include <sched.h>
-#include <signal.h>
+// Every timed round of a round-based phase (htap rounds, kernel passes) is
+// divided by a pass of the serial reference computation on the plain
+// adjacency list, run right after it: the reference is the benchmark's own
+// code, so a slower program raises the ratio while host speed, which
+// drifts over seconds on a shared VM, cancels out of it.
+//
+// The process runs kLaps laps and every lap runs a slice of every phase, so
+// slow and fast stretches of the host fall on every phase alike. Outputs
+// are checked against reference.hpp. Each phase announces itself on stderr
+// (run.py names the last one when it kills a hung process). The last stdout
+// line is JSON for run.py: every end-to-end sample, and this process's
+// per-layer figures.
 #include <sys/prctl.h>
 #include <sys/resource.h>
 #include <unistd.h>
@@ -34,7 +40,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <filesystem>
 #include <iostream>
 #include <map>
@@ -57,7 +62,7 @@
 #include "src/core/dgap_store.hpp"
 #include "src/core/snapshot.hpp"
 #include "src/core/snapshot_delta.hpp"
-#include "src/graph/generators.hpp"
+#include "src/graph/datasets.hpp"
 #include "src/ingest/async_ingestor.hpp"
 #include "src/pmem/latency_model.hpp"
 #include "src/pmem/pool.hpp"
@@ -77,23 +82,21 @@ namespace {
 
 // --- workloads ----------------------------------------------------------------
 
+// A workload is a dataset stand-in of src/graph/datasets.hpp at a scale.
 struct Workload {
-  const char* name;
-  bool skewed;        // R-MAT (power law) vs uniform
-  double rmat_a;      // R-MAT skew
-  NodeId vertices;
-  std::uint64_t undirected;  // generated pairs; the stream holds 2x
-  std::uint64_t graph_seed;  // the generator's seed (see generate())
+  const char* name;  // the dataset_spec key
+  double scale;
 };
 
 constexpr Workload kWorkloads[] = {
-    // orkut-like: skewed degrees, hub vertices, window rebalances.
-    {"powerlaw", true, 0.57, 6143, 75000, 101},
-    // citpatents-like: average degree ~5.5, per-vertex read cost dominates.
-    {"uniform", false, 0.0, 24007, 66000, 103},
+    // R-MAT, average degree 76: hub vertices, window rebalances.
+    {"orkut", 0.1},
+    // Uniform, average degree 5.5: per-vertex read cost dominates.
+    {"citpatents", 0.4},
 };
 
 constexpr int kLaps = 4;
+constexpr int kDurableCycles = 3;  // restarts and crash recoveries per lap
 constexpr std::size_t kBatch = 256;          // insert_batch / async flood size
 constexpr std::size_t kTraceChunk = 4096;    // per-edge calls per span
 // Writer (undo-log) slots: the program binds one to every distinct thread
@@ -110,7 +113,8 @@ constexpr std::uint64_t kPoolMb = 64;
 constexpr std::size_t kHtapBatch = 8;
 constexpr std::size_t kHtapBatchesPerLap = 1000;
 constexpr double kHtapRate = 1600;
-constexpr double kHtapRoundSec = 0.25;
+constexpr double kHtapRoundSec = 0.1;
+constexpr std::size_t kHtapBody = kHtapBatch * kHtapBatchesPerLap * kLaps;
 constexpr double kTierBudgetFraction = 0.5;  // of the loaded footprint
 constexpr std::uint32_t kTierCacheMb = 2;
 constexpr std::uint64_t kTierReadNsPerLine = 60;  // fig7 --dram-cache charge
@@ -125,7 +129,7 @@ const dgap::algorithms::PageRankParams kPr{.iterations = kPrIterations};
 
 // Share of each lap (--seconds / kLaps) the time-filled slices repeat
 // whole rounds for; the htap slice is fixed at kHtapBatchesPerLap /
-// kHtapRate seconds and restart/recover run one cycle per lap.
+// kHtapRate seconds and restart/recover run kDurableCycles cycles per lap.
 constexpr double kShareInsert = 0.16;
 constexpr double kShareBatch = 0.10;
 constexpr double kShareAsync = 0.10;
@@ -154,109 +158,25 @@ double quantile(std::vector<double> v, double q) {
   return v[lo] + (v[hi] - v[lo]) * (pos - static_cast<double>(lo));
 }
 
+// Keeps the compiler from dropping a computation whose result is unused
+// (the reference kernels are inline and free of side effects).
+template <typename T>
+void keep(const std::vector<T>& v) {
+  asm volatile("" : : "r"(v.data()) : "memory");
+}
+
 double peak_rss_mb() {
   rusage ru{};
   getrusage(RUSAGE_SELF, &ru);
   return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
 }
 
-// A phase that overruns its deadline is a hang (fault F2 in README):
-// SIGALRM reports the phase as failed and ends the process with code 4,
-// since threads blocked inside the program cannot be unwound.
-const char* volatile g_phase = "start";
-void on_deadline(int) {
-  const char msg[] = "perfbench: deadline passed, failed phase: ";
-  (void)!write(2, msg, sizeof msg - 1);
-  const char* p = g_phase;
-  (void)!write(2, p, std::strlen(p));
-  (void)!write(2, "\n", 1);
-  _exit(4);
-}
-
-struct Phase {
-  Phase(const char* name, unsigned deadline_s) {
-    g_phase = name;
-    alarm(deadline_s);
-  }
-  ~Phase() { alarm(0); }
-  Phase(const Phase&) = delete;
-  Phase& operator=(const Phase&) = delete;
-};
-
-// CPU placement of this benchmark's own driving thread. On a shared VM the
-// vCPUs differ in speed by up to 1.6x, and which one is slow changes from
-// minute to minute (a plain CSR PageRank loop pinned to each vCPU in turn
-// measured 14-21 ms per pass). A driving thread left to float mixes fast
-// and slow stretches differently in every run. So before each lap the
-// driving thread times a short memory-bound probe on every CPU of the
-// process's mask and pins itself to the fastest. Threads that must not
-// share its CPU (the program's scheduler workers, the htap producer) keep
-// the full mask.
-class CpuPicker {
- public:
-  CpuPicker() : probe_(1 << 21) {
-    CPU_ZERO(&full_);
-    if (sched_getaffinity(0, sizeof full_, &full_) == 0)
-      for (int c = 0; c < CPU_SETSIZE; ++c)
-        if (CPU_ISSET(c, &full_)) cpus_.push_back(c);
-    // A random cyclic permutation: each probe step is a dependent load.
-    std::vector<std::uint32_t> order(probe_.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    dgap::Rng rng(12345);
-    for (std::size_t i = order.size() - 1; i > 0; --i)
-      std::swap(order[i], order[rng.next_below(i + 1)]);
-    for (std::size_t i = 0; i < order.size(); ++i)
-      probe_[order[i]] = order[(i + 1) % order.size()];
-  }
-  CpuPicker(const CpuPicker&) = delete;
-  CpuPicker& operator=(const CpuPicker&) = delete;
-
-  // Pin the calling thread to the CPU that runs the probe fastest now.
-  void pin_fastest() {
-    if (cpus_.size() < 2) return;
-    int best = cpus_[0];
-    double best_s = 1e9;
-    for (const int c : cpus_) {
-      pin(c);
-      const double s = std::min(probe_seconds(), probe_seconds());
-      if (s < best_s) {
-        best_s = s;
-        best = c;
-      }
-    }
-    pin(best);
-    ++picks_[best];
-  }
-  void unpin() const {
-    if (cpus_.size() >= 2)
-      pthread_setaffinity_np(pthread_self(), sizeof full_, &full_);
-  }
-  [[nodiscard]] const std::map<int, int>& picks() const { return picks_; }
-
- private:
-  static void pin(int cpu) {
-    cpu_set_t one;
-    CPU_ZERO(&one);
-    CPU_SET(cpu, &one);
-    pthread_setaffinity_np(pthread_self(), sizeof one, &one);
-  }
-  double probe_seconds() {
-    const auto t0 = Clock::now();
-    std::uint32_t at = 0;
-    for (int i = 0; i < 100000; ++i) at = probe_[at];
-    sink_ += at;
-    return seconds_since(t0);
-  }
-
-  cpu_set_t full_{};
-  std::vector<int> cpus_;
-  std::vector<std::uint32_t> probe_;  // 8 MiB, beyond the per-core L2
-  std::map<int, int> picks_;
-  std::uint64_t sink_ = 0;
-};
-CpuPicker& cpu_picker() {
-  static CpuPicker p;
-  return p;
+// The phase running now, announced on stderr: a hung process (fault F2 in
+// README) is killed by run.py, which names the phase from its last line.
+const char* g_phase = "start";
+void phase(const char* name) {
+  g_phase = name;
+  std::cerr << "perfbench: phase " << name << std::endl;
 }
 
 // --- run context ----------------------------------------------------------------
@@ -269,6 +189,7 @@ struct Metric {
 struct Run {
   const Workload* w = nullptr;
   std::uint64_t seed = 1;
+  int part = 0;  // which of run.py's processes this is
   double seconds = 24;
   bool trace = false;
   std::string scratch;
@@ -306,9 +227,43 @@ struct Run {
   [[nodiscard]] std::size_t edges() const { return stream.num_edges(); }
 };
 
+// The graph of a workload is the repository's dataset stand-in, generated
+// from the dataset's own seed, as every bench in bench/ loads it. --seed
+// drives the insertion order (the paper shuffles a fixed graph into a
+// random insertion order, §4.1). Kernel work depends on the graph itself
+// (CC hook rounds, BFS direction switches), and on five generator seeds it
+// varied the CC time by 1.6x; a fixed graph keeps the seeds from measuring
+// different work. For the same reason the last kHtapBody edges, which the
+// htap phase streams, are the same edge set in every run (the dataset's
+// own last edges) in a seeded order: the edges that arrive decide how many
+// sweeps an incremental PageRank round needs (6 to 37 on orkut).
+EdgeStream generate(const Workload& w, std::uint64_t seed) {
+  const EdgeStream d =
+      dgap::load_dataset(dgap::dataset_spec(w.name), w.scale);
+  if (d.num_edges() <= kHtapBody)
+    throw std::logic_error("htap body exceeds stream");
+  const auto shuffled = [&](std::size_t b, std::size_t e, std::uint64_t salt) {
+    EdgeStream part(d.num_vertices(), {d.edges().begin() + b,
+                                       d.edges().begin() + e});
+    part.shuffle(seed * 0x9E3779B97F4A7C15ull + salt);
+    return std::move(part.edges());
+  };
+  const std::size_t split = d.num_edges() - kHtapBody;
+  std::vector<Edge> edges = shuffled(0, split, 17);
+  const std::vector<Edge> body = shuffled(split, d.num_edges(), 29);
+  edges.insert(edges.end(), body.begin(), body.end());
+  return {d.num_vertices(), std::move(edges)};
+}
+
+// The seed of an insertion order one phase of one process uses: drawn from
+// --seed and the part, so the parts of a run time different orders.
+std::uint64_t order_seed(const Run& r, std::uint64_t salt) {
+  return (r.seed * 1000003 + static_cast<std::uint64_t>(r.part)) * 1009 + salt;
+}
+
 dgap::core::DgapOptions store_options(const Run& r) {
   dgap::core::DgapOptions o;
-  o.init_vertices = r.w->vertices;
+  o.init_vertices = r.stream.num_vertices();
   o.init_edges = r.edges();
   o.max_writer_threads = kWriterSlots;
   return o;
@@ -365,9 +320,9 @@ GraphDiff diff_graph(const View& g, const pb::ref::Adjacency& ref) {
   for (NodeId v = 0; v < ref.n(); ++v) {
     got.clear();
     g.for_each_out(v, [&](NodeId x) { got.push_back(x); });
-    const auto& expect = ref.out[static_cast<std::size_t>(v)];
-    if (got == expect) continue;
-    want = expect;
+    const auto expect = ref.out(static_cast<std::size_t>(v));
+    if (std::ranges::equal(got, expect)) continue;
+    want.assign(expect.begin(), expect.end());
     std::sort(got.begin(), got.end());
     std::sort(want.begin(), want.end());
     if (got == want) {
@@ -384,9 +339,12 @@ GraphDiff diff_graph(const View& g, const pb::ref::Adjacency& ref) {
 
 enum class Order { exact, async_fed };
 
+// `ref` defaults to the run's stream in its insertion order.
 void check_graph(Run& r, const DgapStore& store, const char* where,
-                 Order order = Order::exact) {
-  const GraphDiff d = diff_graph(store.consistent_view(), *r.ref);
+                 Order order = Order::exact,
+                 const pb::ref::Adjacency* ref = nullptr) {
+  const GraphDiff d =
+      diff_graph(store.consistent_view(), ref != nullptr ? *ref : *r.ref);
   r.check(d.why.empty(), std::string(where) + ": " + d.why);
   if (order == Order::async_fed) {
     r.async_reordered += d.reordered;
@@ -539,7 +497,7 @@ struct IngestState {
 
 void lap_ingest(Run& r, IngestState& st, bool last) {
   {
-    Phase ph("insert", 60);
+    phase("insert");
     const auto per_edge = [&](DgapStore& s, std::span<const Edge> e) {
       per_edge_insert(r, s, e);
     };
@@ -547,7 +505,7 @@ void lap_ingest(Run& r, IngestState& st, bool last) {
                per_edge, per_edge);
   }
   {
-    Phase ph("batch", 60);
+    phase("batch");
     const auto batched = [&](DgapStore& s, std::span<const Edge> e) {
       load_batches(r, s, e);
     };
@@ -555,7 +513,7 @@ void lap_ingest(Run& r, IngestState& st, bool last) {
                batched, batched);
   }
   {
-    Phase ph("async", 60);
+    phase("async");
     const auto s0 = dgap::sched::TaskScheduler::global().stats();
     std::unique_ptr<dgap::ingest::AsyncIngestor> ing;
     ingest_lap(
@@ -657,7 +615,7 @@ struct Durable {
 };
 
 void durable_setup(Run& r, Durable& d) {
-  Phase ph("durable-setup", 60);
+  phase("durable-setup");
   d.path = r.scratch + "/restart.pool";
   std::filesystem::remove(d.path);
   d.restart.opts = store_options(r);
@@ -675,7 +633,7 @@ void durable_setup(Run& r, Durable& d) {
 
 // Normal restart: shutdown, close, reopen the pool and the store.
 void lap_restart(Run& r, Durable& d) {
-  Phase ph("restart", 60);
+  phase("restart");
   Store& s = d.restart;
   const auto t0 = Clock::now();
   {
@@ -706,15 +664,16 @@ void lap_restart(Run& r, Durable& d) {
               " acknowledged");
 }
 
-// Crash after acknowledged batches: insert this lap's share of the tail,
+// Crash after acknowledged batches: insert this cycle's share of the tail,
 // drop the volatile state and every unpersisted line, recover. After the
-// last lap the whole stream is acknowledged.
-void lap_recover(Run& r, Durable& d, int lap) {
-  Phase ph("recover", 60);
+// last cycle the whole stream is acknowledged.
+void lap_recover(Run& r, Durable& d, int cycle) {
+  phase("recover");
   Store& s = d.crash;
   const std::size_t tail = r.edges() - d.tail_begin;
   const std::size_t next =
-      d.tail_begin + tail * static_cast<std::size_t>(lap + 1) / kLaps;
+      d.tail_begin + tail * static_cast<std::size_t>(cycle + 1) /
+                         (kLaps * kDurableCycles);
   load_batches(r, *s.store, r.stream.all().subspan(d.acked, next - d.acked));
   d.acked = next;
   s.store.reset();  // no shutdown: the volatile state is lost
@@ -733,13 +692,13 @@ void lap_recover(Run& r, Durable& d, int lap) {
 }
 
 void durable_finish(Run& r, Durable& d) {
-  Phase ph("durable-check", 60);
+  phase("durable-check");
   check_graph(r, *d.restart.store, "restart");
   check_graph(r, *d.crash.store, "recover");
   r.put_layer("core.restart_pool_growth_bytes",
               static_cast<double>(d.restart.store->resident_bytes() -
                                   d.restart_resident0) /
-                  kLaps,
+                  (kLaps * kDurableCycles),
               "B");
   r.put_layer("core.shutdown_s", median(d.shut), "s");
   r.put_layer("core.pool_open_s", median(d.popen), "s");
@@ -753,6 +712,7 @@ void durable_finish(Run& r, Durable& d) {
 // --- htap ---------------------------------------------------------------------
 
 struct Htap {
+  EdgeStream stream;  // this phase's insertion order (see htap_setup)
   Store h;
   std::unique_ptr<dgap::ingest::AsyncIngestor> ing;
   std::size_t body_begin = 0;  // stream index of the first open-loop edge
@@ -762,7 +722,7 @@ struct Htap {
   std::vector<NodeId> cc;
   // Per-layer accumulators over all laps.
   std::vector<double> ack_ms, delta_ms, pr_ms, cc_ms, submit_us;
-  std::vector<double> round_ms, full_ms;
+  std::vector<double> round_ms, full_ms, pr_iterations;
   double late_max_us = 0;
   dgap::ingest::IngestStats ing0;
   dgap::obs::HistogramSnapshot absorb0, freeze0;
@@ -772,12 +732,15 @@ struct Htap {
 };
 
 void htap_setup(Run& r, Htap& st) {
-  Phase ph("htap-setup", 60);
+  phase("htap-setup");
+  // The htap stream is the workload's edges in an order of this part's own
+  // (the body is the same edge set in every order, see generate()): how
+  // many sweeps an incremental round needs follows which edges each delta
+  // brings, and four orders per run average over more deltas than one.
+  st.stream = generate(*r.w, order_seed(r, 0));
   st.h = fresh_store(r);
-  const std::size_t body = kHtapBatch * kHtapBatchesPerLap * kLaps;
-  if (body >= r.edges()) throw std::logic_error("htap body exceeds stream");
-  st.body_begin = r.edges() - body;
-  load_batches(r, *st.h.store, r.stream.all().first(st.body_begin));
+  st.body_begin = r.edges() - kHtapBody;
+  load_batches(r, *st.h.store, st.stream.all().first(st.body_begin));
   const dgap::par::ScopedKernelThreads one(1);
   st.cut = st.h.store->consistent_view();
   st.mirror = dgap::algorithms::DeltaMirror::build(st.cut);
@@ -809,9 +772,10 @@ double incr_round(Run& r, Htap& st) {
     const auto t2 = Clock::now();
     {
       pb::Tracer::Scope s2(*r.tracer, "algorithms.incr_pr");
-      st.pr = dgap::algorithms::incremental_pagerank(st.mirror, d, st.pr,
-                                                     kIncrPr)
-                  .scores;
+      auto res =
+          dgap::algorithms::incremental_pagerank(st.mirror, d, st.pr, kIncrPr);
+      st.pr = std::move(res.scores);
+      st.pr_iterations.push_back(res.iterations);
     }
     const auto t3 = Clock::now();
     {
@@ -849,8 +813,8 @@ bool holds_edges(const dgap::core::Snapshot& cut,
 // moment the ingestor's durable epoch covers it, so a stall counts against
 // every batch queued behind it.
 void lap_htap(Run& r, Htap& st, int lap) {
-  Phase ph("htap", 60);
-  const auto all = r.stream.all();
+  phase("htap");
+  const auto all = st.stream.all();
   const std::size_t first =
       st.body_begin + static_cast<std::size_t>(lap) * kHtapBatch *
                           kHtapBatchesPerLap;
@@ -865,7 +829,6 @@ void lap_htap(Run& r, Htap& st, int lap) {
   std::exception_ptr producer_error;
 
   std::thread producer([&] {
-    cpu_picker().unpin();  // off the analysis thread's CPU
     // While an ack is outstanding the producer only yields, so an ack is
     // timed within microseconds of the durable epoch covering it; with
     // none outstanding it sleeps until close to the next due time. (A
@@ -921,6 +884,7 @@ void lap_htap(Run& r, Htap& st, int lap) {
   {
     const dgap::par::ScopedKernelThreads one(1);
     const auto end = due_of(kHtapBatchesPerLap);
+    std::vector<double> lap_ratios;
     for (int k = 1;; ++k) {
       const auto due = start + std::chrono::nanoseconds(static_cast<std::int64_t>(
                                    1e9 * kHtapRoundSec * k));
@@ -928,19 +892,26 @@ void lap_htap(Run& r, Htap& st, int lap) {
       std::this_thread::sleep_until(due);
       const std::size_t acked = acked_batches.load(std::memory_order_acquire);
       const double round_ms = incr_round(r, st);
-      // The same cut recomputed from scratch (PR, 20 iterations, and CC
-      // over the mirror) right after: the sample is the ratio, so host
-      // speed drift cancels out of it (see lap_kernels).
-      const auto t0 = Clock::now();
+      // Right after the round, the reference PR (20 iterations) on the
+      // whole stream's adjacency: fixed work of the benchmark's own, so the
+      // ratio rises with the program's round time and host speed drift
+      // cancels out of it (see lap_kernels).
+      auto t0 = Clock::now();
+      {
+        pb::Tracer::Scope sc(*r.tracer, "oracle.pr");
+        keep(pb::ref::pagerank(*r.ref, kPrIterations));
+      }
+      const double ref_ms = seconds_since(t0) * 1e3;
+      // Per layer: the same cut recomputed from scratch by the program.
+      t0 = Clock::now();
       {
         pb::Tracer::Scope sc(*r.tracer, "algorithms.full_pr_cc");
         (void)dgap::algorithms::pagerank(st.mirror, kPr);
         (void)dgap::algorithms::connected_components(st.mirror);
       }
-      const double full_ms = seconds_since(t0) * 1e3;
+      st.full_ms.push_back(seconds_since(t0) * 1e3);
       st.round_ms.push_back(round_ms);
-      st.full_ms.push_back(full_ms);
-      r.put_sample("round_vs_full", round_ms / full_ms, "ratio");
+      lap_ratios.push_back(round_ms / ref_ms);
       r.attempted += 2;
       // Every batch acknowledged before the capture is in the cut.
       r.check(st.cut.num_edges_directed() >= first + acked * kHtapBatch,
@@ -950,6 +921,14 @@ void lap_htap(Run& r, Htap& st, int lap) {
                                                 kHtapBatch)),
                 "htap: a cut misses the last acknowledged batch");
     }
+    // One sample per lap, the mean of its rounds' ratios: a round's work
+    // moves in whole PageRank sweeps with its delta, and a mean follows the
+    // share of longer rounds smoothly where a median would jump between
+    // the two.
+    double sum = 0;
+    for (const double x : lap_ratios) sum += x;
+    r.put_sample("round_vs_ref", sum / static_cast<double>(lap_ratios.size()),
+                 "ratio");
   }
   producer.join();
   if (producer_error) std::rethrow_exception(producer_error);
@@ -961,7 +940,7 @@ void lap_htap(Run& r, Htap& st, int lap) {
 }
 
 void htap_finish(Run& r, Htap& st) {
-  Phase ph("htap-check", 60);
+  phase("htap-check");
   const auto ing1 = st.ing->stats();
   const auto absorb = st.ing->absorb_latency() - st.absorb0;
   const auto freeze = st.h.store->freeze_latency() - st.freeze0;
@@ -969,7 +948,9 @@ void htap_finish(Run& r, Htap& st) {
     const dgap::par::ScopedKernelThreads one(1);
     (void)incr_round(r, st);  // the final cut holds the whole stream
   }
-  check_graph(r, *st.h.store, "htap", Order::async_fed);
+  const pb::ref::Adjacency submitted(st.stream.num_vertices(),
+                                    st.stream.all());
+  check_graph(r, *st.h.store, "htap", Order::async_fed, &submitted);
   // The incremental kernel certifies each score vector within
   // tolerance / (1 - d) of the fixed point in L1; allow twice that.
   const double pr_err = pb::ref::l1_diff(st.pr, pb::ref::pagerank(*r.ref, 0));
@@ -986,8 +967,7 @@ void htap_finish(Run& r, Htap& st) {
   // bound (README, "Dropped").
   r.put_layer("ingest.ack_p50_ms", quantile(st.ack_ms, 0.50), "ms");
   r.put_layer("ingest.ack_p99_ms", quantile(st.ack_ms, 0.99), "ms");
-  const double edges =
-      static_cast<double>(kHtapBatch * kHtapBatchesPerLap * kLaps);
+  const double edges = static_cast<double>(kHtapBody);
   r.put_layer("pmem.htap_media_bytes_per_edge",
               static_cast<double>(st.pm.media_bytes_written()) / edges, "B");
   r.put_layer("snapshot.freeze_us", freeze.percentile(0.5) / 1e3, "us");
@@ -999,6 +979,12 @@ void htap_finish(Run& r, Htap& st) {
   r.put_layer("snapshot.delta_ms", median(st.delta_ms), "ms");
   r.put_layer("snapshot.round_ms", median(st.round_ms), "ms");
   r.put_layer("algorithms.full_pr_cc_ms", median(st.full_ms), "ms");
+  std::vector<double> vs_full(st.round_ms.size());
+  for (std::size_t i = 0; i < vs_full.size(); ++i)
+    vs_full[i] = st.round_ms[i] / st.full_ms[i];
+  r.put_layer("algorithms.round_vs_full", median(vs_full), "ratio");
+  r.put_layer("algorithms.incr_pr_iterations", median(st.pr_iterations),
+              "count");
   r.put_layer("algorithms.incr_pr_ms", median(st.pr_ms), "ms");
   r.put_layer("algorithms.incr_cc_ms", median(st.cc_ms), "ms");
   r.put_layer("ingest.submit_us", median(st.submit_us), "us");
@@ -1042,15 +1028,15 @@ std::vector<NodeId> pick_sources(const pb::ref::Adjacency& g,
   std::vector<NodeId> s;
   NodeId hub = 0;
   for (NodeId v = 0; v < g.n(); ++v)
-    if (g.out[static_cast<std::size_t>(v)].size() >
-        g.out[static_cast<std::size_t>(hub)].size())
+    if (g.out(static_cast<std::size_t>(v)).size() >
+        g.out(static_cast<std::size_t>(hub)).size())
       hub = v;
   s.push_back(hub);
   dgap::Rng rng(seed * 31 + 7);
   while (static_cast<int>(s.size()) < count) {
     const auto v = static_cast<NodeId>(
         rng.next_below(static_cast<std::uint64_t>(g.n())));
-    if (!g.out[static_cast<std::size_t>(v)].empty() &&
+    if (!g.out(static_cast<std::size_t>(v)).empty() &&
         std::find(s.begin(), s.end(), v) == s.end())
       s.push_back(v);
   }
@@ -1060,8 +1046,9 @@ std::vector<NodeId> pick_sources(const pb::ref::Adjacency& g,
 struct Analysis {
   Store a;  // the preloaded, quiescent analysis store
   std::vector<NodeId> bfs_src, bc_src;
-  // Per kernel, every timed pass over the snapshot and over its CSR.
-  std::map<std::string, std::vector<double>> dgap_s, csr_s;
+  // Per kernel, every timed pass over the snapshot, over its CSR and of
+  // the reference kernel, and each snapshot pass over its CSR pass.
+  std::map<std::string, std::vector<double>> dgap_s, csr_s, ref_s, vs_csr;
 };
 
 
@@ -1092,21 +1079,25 @@ void check_kernels(Run& r, const Analysis& an, const View& g,
   r.attempted += 3 + an.bfs_src.size();
 }
 
-// Every lap after the first reloads the analysis store into a fresh pool:
-// kernel times depend on where the pool and the kernel's arrays land
-// relative to each other (one process measured CC at 1.4 ms, the next at
-// 2.2 ms, on the same input), and a new mapping per lap lets the median
-// span many placements instead of the one a process happens to get.
+// Every lap loads the analysis store into a fresh pool, in an insertion
+// order of its own drawn from --seed, the part and the lap. Kernel times
+// depend on where the pool and the kernel's arrays land relative to each
+// other (one process measured CC at 1.4 ms, the next at 2.2 ms, on the
+// same input) and on the neighbour order (the reference CC took 1.45 ms on
+// one order of orkut and 0.91 ms on another, with the same two hook
+// rounds); a new mapping and order per lap lets the median span many of
+// each instead of the one a process or a seed happens to get.
 void lap_kernels(Run& r, Analysis& an, int lap) {
-  Phase ph("kernels", 90);
-  if (lap > 0) {
-    an.a.close();
-    an.a = fresh_store(r);
-    load_batches(r, *an.a.store, r.stream.all());
-    r.check(an.a.store->num_edge_slots() == r.edges(),
-            "kernels: reloaded store holds " +
-                std::to_string(an.a.store->num_edge_slots()) + " edges");
-  }
+  phase("kernels");
+  EdgeStream order = r.stream;
+  order.shuffle(order_seed(r, static_cast<std::uint64_t>(lap) + 1));
+  an.a.close();
+  an.a = fresh_store(r);
+  load_batches(r, *an.a.store, order.all());
+  r.check(an.a.store->num_edge_slots() == r.edges(),
+          "kernels: reloaded store holds " +
+              std::to_string(an.a.store->num_edge_slots()) + " edges");
+  const pb::ref::Adjacency g0(order.num_vertices(), order.all());
   const dgap::core::Snapshot snap = an.a.store->consistent_view();
   const dgap::par::ScopedKernelThreads one(1);
   dgap::core::SnapshotCsr csr;
@@ -1118,16 +1109,18 @@ void lap_kernels(Run& r, Analysis& an, int lap) {
     check_kernels(r, an, snap, "kernels");
     check_kernels(r, an, csr, "snapshot-csr");
   }
-  // Each kernel alternates a pass over the snapshot with a pass over the
-  // CSR of the same cut; a sample is the ratio of one adjacent pair, so
-  // host speed, which drifts over seconds and minutes on a shared VM,
-  // cancels out of the end-to-end figure. Absolute times go per layer.
+  // Each kernel repeats a pass over the snapshot, a pass of the reference
+  // kernel on the plain adjacency list, and a pass over the CSR of the same
+  // cut. The end-to-end sample is the snapshot pass over the reference pass
+  // right after it: the reference is the benchmark's own code, so host
+  // speed, which drifts over seconds and minutes on a shared VM, cancels
+  // out of the figure while any slowdown of the program's kernels or read
+  // path shows in it. The pass over the program's CSR gives the per-layer
+  // Fig 7 gap; absolute times go per layer too.
   const double per_kernel = r.lap_budget(kShareKernels) / 4;
-  const auto paired = [&](const char* name, const char* span,
-                          const auto& kernel) {
+  const auto timed = [&](const char* name, const char* span,
+                         const auto& kernel, const auto& reference) {
     const auto t_begin = Clock::now();
-    auto& dgap_t = an.dgap_s[name];
-    auto& csr_t = an.csr_s[name];
     do {
       auto t0 = Clock::now();
       {
@@ -1136,29 +1129,48 @@ void lap_kernels(Run& r, Analysis& an, int lap) {
       }
       const double td = seconds_since(t0);
       t0 = Clock::now();
+      {
+        pb::Tracer::Scope sc(*r.tracer, "oracle.kernel");
+        reference();
+      }
+      const double tr = seconds_since(t0);
+      t0 = Clock::now();
       kernel(csr);
       const double tc = seconds_since(t0);
-      dgap_t.push_back(td);
-      csr_t.push_back(tc);
-      r.put_sample(std::string(name) + "_vs_csr", td / tc, "ratio");
+      an.dgap_s[name].push_back(td);
+      an.ref_s[name].push_back(tr);
+      an.csr_s[name].push_back(tc);
+      an.vs_csr[name].push_back(td / tc);
+      r.put_sample(std::string(name) + "_vs_ref", td / tr, "ratio");
       r.attempted += 2;
     } while (seconds_since(t_begin) < per_kernel);
   };
-  paired("pr", "algorithms.pr",
-         [&](const auto& g) { (void)dgap::algorithms::pagerank(g, kPr); });
-  paired("cc", "algorithms.cc", [&](const auto& g) {
-    (void)dgap::algorithms::connected_components(g);
-  });
-  paired("bfs", "algorithms.bfs", [&](const auto& g) {
-    for (const NodeId src : an.bfs_src) (void)dgap::algorithms::bfs(g, src);
-  });
-  paired("bc", "algorithms.bc", [&](const auto& g) {
-    (void)dgap::algorithms::betweenness_centrality(g, an.bc_src);
-  });
+  timed(
+      "pr", "algorithms.pr",
+      [&](const auto& g) { (void)dgap::algorithms::pagerank(g, kPr); },
+      [&] { keep(pb::ref::pagerank(g0, kPrIterations)); });
+  timed(
+      "cc", "algorithms.cc",
+      [&](const auto& g) { (void)dgap::algorithms::connected_components(g); },
+      [&] { keep(pb::ref::components_hook(g0)); });
+  timed(
+      "bfs", "algorithms.bfs",
+      [&](const auto& g) {
+        for (const NodeId src : an.bfs_src) (void)dgap::algorithms::bfs(g, src);
+      },
+      [&] {
+        for (const NodeId src : an.bfs_src) keep(pb::ref::bfs_depths(g0, src));
+      });
+  timed(
+      "bc", "algorithms.bc",
+      [&](const auto& g) {
+        (void)dgap::algorithms::betweenness_centrality(g, an.bc_src);
+      },
+      [&] { keep(pb::ref::betweenness(g0, an.bc_src)); });
 }
 
 void kernels_finish(Run& r, Analysis& an) {
-  Phase ph("kernels-finish", 90);
+  phase("kernels-finish");
   DgapStore& s = *an.a.store;
   const double edges = static_cast<double>(r.edges());
   r.put_sample("pool_bytes_per_edge",
@@ -1166,14 +1178,14 @@ void kernels_finish(Run& r, Analysis& an) {
   r.put_layer("pma.density", edges / static_cast<double>(s.capacity_slots()),
               "ratio");
   r.put_layer("pma.sections", static_cast<double>(s.num_segments()), "count");
-  for (const char* k : {"pr", "cc", "bfs", "bc"}) {
-    r.put_layer(std::string("algorithms.") + k + "_s", median(an.dgap_s[k]),
-                "s");
-    r.put_layer(std::string("algorithms.") + k + "_csr_s",
-                median(an.csr_s[k]), "s");
+  for (const std::string k : {"pr", "cc", "bfs", "bc"}) {
+    r.put_layer("algorithms." + k + "_s", median(an.dgap_s[k]), "s");
+    r.put_layer("algorithms." + k + "_csr_s", median(an.csr_s[k]), "s");
+    r.put_layer("oracle." + k + "_s", median(an.ref_s[k]), "s");
+    // PR's gap keeps the name snapshot.csr_gap; the others carry theirs.
+    r.put_layer(k == "pr" ? "snapshot.csr_gap" : "snapshot." + k + "_csr_gap",
+                median(an.vs_csr[k]), "ratio");
   }
-  r.put_layer("snapshot.csr_gap",
-              median(an.dgap_s["pr"]) / median(an.csr_s["pr"]), "ratio");
   if (!r.trace) return;
 
   // Read-path probes and the parallel PageRank run in traced runs only,
@@ -1221,7 +1233,7 @@ void kernels_finish(Run& r, Analysis& an) {
 // and demotions go through the page cache to a virtio disk) to carry an
 // end-to-end bound, so the tier layers report here, per layer.
 void tier_probe(Run& r, const Analysis& an) {
-  Phase ph("tier-probe", 120);
+  phase("tier-probe");
   Store t;
   t.opts = store_options(r);
   t.opts.cold_tier = true;
@@ -1318,32 +1330,12 @@ void tier_probe(Run& r, const Analysis& an) {
 
 // --- setup --------------------------------------------------------------------
 
-// The graph of a workload is fixed, like a dataset: w.graph_seed drives
-// the generator. --seed drives the insertion order (the paper shuffles a
-// fixed graph into a random insertion order, §4.1). Kernel work depends on
-// the graph itself (CC hook rounds, BFS direction switches), and on five
-// generator seeds it varied the CC time by 1.6x; a fixed graph keeps the
-// seeds from measuring different work.
-EdgeStream generate(const Workload& w, std::uint64_t seed) {
-  EdgeStream directed =
-      w.skewed ? dgap::generate_rmat(w.vertices, w.undirected, w.graph_seed,
-                                     dgap::RmatParams{w.rmat_a,
-                                                      (1.0 - w.rmat_a) / 3,
-                                                      (1.0 - w.rmat_a) / 3})
-               : dgap::generate_uniform(w.vertices, w.undirected,
-                                        w.graph_seed);
-  EdgeStream s = dgap::symmetrize(directed);
-  s.shuffle(seed * 0x9E3779B97F4A7C15ull + 17);
-  return s;
-}
-
 // setup_s: generate the stream and preload the analysis store with it,
 // three times; the median is reported and the last store is kept.
 void setup(Run& r, Analysis& an) {
-  Phase ph("setup", 120);
+  phase("setup");
   std::vector<double> times, gen_times;
   for (int i = 0; i < 3; ++i) {
-    cpu_picker().pin_fastest();
     an.a.close();
     const auto t0 = Clock::now();
     {
@@ -1359,12 +1351,13 @@ void setup(Run& r, Analysis& an) {
   r.put_layer("graph.generate_s", median(gen_times), "s");
   {
     pb::Tracer::Scope s(*r.tracer, "oracle.adjacency");
-    r.ref = std::make_unique<pb::ref::Adjacency>(r.w->vertices,
+    r.ref = std::make_unique<pb::ref::Adjacency>(r.stream.num_vertices(),
                                                  r.stream.all());
   }
   check_graph(r, *an.a.store, "preload");
-  an.bfs_src = pick_sources(*r.ref, r.w->graph_seed, kBfsSources);
-  an.bc_src = pick_sources(*r.ref, r.w->graph_seed + 1, kBcSources);
+  const std::uint64_t graph_seed = dgap::dataset_spec(r.w->name).seed;
+  an.bfs_src = pick_sources(*r.ref, graph_seed, kBfsSources);
+  an.bc_src = pick_sources(*r.ref, graph_seed + 1, kBcSources);
 }
 
 // --- driver -------------------------------------------------------------------
@@ -1372,7 +1365,7 @@ void setup(Run& r, Analysis& an) {
 [[noreturn]] void usage(const std::string& why) {
   std::cerr << "perfbench: " << why
             << "\nusage: perfbench --workload NAME --seed N --seconds S "
-               "--trace 0|1 --scratch DIR\n";
+               "--trace 0|1 --scratch DIR [--part K]\n";
   std::exit(2);
 }
 
@@ -1420,23 +1413,19 @@ void run_all(Run& r) {
   htap_setup(r, h);
   IngestState ingest;
   for (int lap = 0; lap < kLaps; ++lap) {
-    cpu_picker().pin_fastest();
     lap_ingest(r, ingest, lap == kLaps - 1);
-    lap_restart(r, d);
-    lap_recover(r, d, lap);
+    for (int c = 0; c < kDurableCycles; ++c) {
+      lap_restart(r, d);
+      lap_recover(r, d, lap * kDurableCycles + c);
+    }
     lap_htap(r, h, lap);
     lap_kernels(r, an, lap);
   }
-  cpu_picker().unpin();
   report_ingest(r, ingest);
   durable_finish(r, d);
   htap_finish(r, h);
   kernels_finish(r, an);
   if (r.trace) tier_probe(r, an);
-  std::cerr << "perfbench: CPU picks";
-  for (const auto& [cpu, n] : cpu_picker().picks())
-    std::cerr << " cpu" << cpu << "=" << n;
-  std::cerr << "\n";
 }
 
 }  // namespace
@@ -1462,6 +1451,8 @@ int main(int argc, char** argv) {
         if (v != "0" && v != "1") usage("--trace takes 0 or 1");
         r.trace = v == "1";
         have_trace = true;
+      } else if (a == "--part") {
+        r.part = std::stoi(v);
       } else if (a == "--scratch") {
         r.scratch = v;
       } else {
@@ -1479,7 +1470,6 @@ int main(int argc, char** argv) {
           "required");
   std::filesystem::create_directories(r.scratch);
 
-  signal(SIGALRM, on_deadline);
   // The Optane model at its defaults, as every bench in bench/ runs it.
   dgap::pmem::LatencyConfig lc;
   lc.enabled = true;
@@ -1487,9 +1477,6 @@ int main(int argc, char** argv) {
   dgap::sched::Options so;
   so.workers = kSchedWorkers;
   dgap::sched::TaskScheduler::configure(so);
-  // Start the workers now, while this thread still has the full CPU mask
-  // they inherit (CpuPicker).
-  (void)dgap::sched::TaskScheduler::global();
 
   pb::Tracer tracer(r.trace);
   r.tracer = &tracer;

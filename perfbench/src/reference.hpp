@@ -3,8 +3,9 @@
 // Everything here is built from the generated edge list alone, with plain
 // serial code that shares nothing with src/ beyond the NodeId/Edge types:
 // an adjacency list in insertion order, BFS depths, the component
-// partition (union-find), PageRank by power iteration and Brandes
-// betweenness. No output of the program is stored and compared later.
+// partition (union-find, and hook-and-compress as a timing reference),
+// PageRank by power iteration and Brandes betweenness. No output of the
+// program is stored and compared later.
 #pragma once
 
 #include <algorithm>
@@ -23,34 +24,42 @@ using dgap::Edge;
 using dgap::NodeId;
 
 // Out-neighbours per vertex in insertion order (duplicates kept: the store
-// is a multigraph and so is every kernel's view of it).
+// is a multigraph and so is every kernel's view of it), in two flat arrays
+// as a CSR holds them: the reference kernels then read memory the way the
+// program's kernels do, and their timings drift with the host's memory
+// speed alike.
 struct Adjacency {
-  std::vector<std::vector<NodeId>> out;
-  std::uint64_t edges = 0;
+  std::vector<std::size_t> offset;  // vertex v's neighbours are
+  std::vector<NodeId> target;       // target[offset[v] .. offset[v + 1])
 
-  Adjacency(NodeId n, std::span<const Edge> edges_in) {
-    out.resize(static_cast<std::size_t>(n));
-    add(edges_in);
+  Adjacency(NodeId n, std::span<const Edge> edges) {
+    auto nodes = static_cast<std::size_t>(n);
+    for (const Edge& e : edges)
+      nodes = std::max(nodes,
+                       static_cast<std::size_t>(std::max(e.src, e.dst)) + 1);
+    offset.assign(nodes + 1, 0);
+    for (const Edge& e : edges) ++offset[static_cast<std::size_t>(e.src) + 1];
+    std::partial_sum(offset.begin(), offset.end(), offset.begin());
+    target.resize(edges.size());
+    std::vector<std::size_t> at(offset.begin(), offset.end() - 1);
+    for (const Edge& e : edges)
+      target[at[static_cast<std::size_t>(e.src)]++] = e.dst;
   }
-  void add(std::span<const Edge> edges_in) {
-    for (const Edge& e : edges_in) {
-      const auto need = static_cast<std::size_t>(std::max(e.src, e.dst)) + 1;
-      if (need > out.size()) out.resize(need);
-      out[static_cast<std::size_t>(e.src)].push_back(e.dst);
-    }
-    edges += edges_in.size();
+  [[nodiscard]] std::size_t size() const { return offset.size() - 1; }
+  [[nodiscard]] NodeId n() const { return static_cast<NodeId>(size()); }
+  [[nodiscard]] std::span<const NodeId> out(std::size_t v) const {
+    return {target.data() + offset[v], target.data() + offset[v + 1]};
   }
-  [[nodiscard]] NodeId n() const { return static_cast<NodeId>(out.size()); }
 };
 
 inline std::vector<std::int64_t> bfs_depths(const Adjacency& g,
                                             NodeId source) {
-  std::vector<std::int64_t> depth(g.out.size(), -1);
+  std::vector<std::int64_t> depth(g.size(), -1);
   std::vector<NodeId> queue{source};
   depth[static_cast<std::size_t>(source)] = 0;
   for (std::size_t head = 0; head < queue.size(); ++head) {
     const NodeId u = queue[head];
-    for (const NodeId v : g.out[static_cast<std::size_t>(u)]) {
+    for (const NodeId v : g.out(static_cast<std::size_t>(u))) {
       if (depth[static_cast<std::size_t>(v)] >= 0) continue;
       depth[static_cast<std::size_t>(v)] = depth[static_cast<std::size_t>(u)] + 1;
       queue.push_back(v);
@@ -61,7 +70,7 @@ inline std::vector<std::int64_t> bfs_depths(const Adjacency& g,
 
 // Component id = smallest vertex id in the component.
 inline std::vector<NodeId> components(const Adjacency& g) {
-  std::vector<NodeId> parent(g.out.size());
+  std::vector<NodeId> parent(g.size());
   std::iota(parent.begin(), parent.end(), NodeId{0});
   const auto find = [&](NodeId x) {
     while (parent[static_cast<std::size_t>(x)] != x) {
@@ -72,7 +81,7 @@ inline std::vector<NodeId> components(const Adjacency& g) {
     return x;
   };
   for (NodeId u = 0; u < g.n(); ++u)
-    for (const NodeId v : g.out[static_cast<std::size_t>(u)]) {
+    for (const NodeId v : g.out(static_cast<std::size_t>(u))) {
       const NodeId a = find(u);
       const NodeId b = find(v);
       if (a != b) parent[static_cast<std::size_t>(std::max(a, b))] = std::min(a, b);
@@ -82,28 +91,59 @@ inline std::vector<NodeId> components(const Adjacency& g) {
   return parent;
 }
 
+// Hook-and-compress (Shiloach-Vishkin, the formulation GAPBS uses), serial:
+// the timing reference for CC. The number of hook rounds depends on the
+// order neighbours are visited in, and varied 1.8x between insertion
+// orders of one graph; visiting the adjacency list in insertion order, as
+// the store's views do, this does the work a hook-based kernel does on the
+// same cut, so the timing ratio does not follow the seed. The partition
+// check uses components() above.
+inline std::vector<NodeId> components_hook(const Adjacency& g) {
+  const std::size_t n = g.size();
+  std::vector<NodeId> comp(n);
+  std::iota(comp.begin(), comp.end(), NodeId{0});
+  for (bool change = true; change;) {
+    change = false;
+    for (std::size_t u = 0; u < n; ++u)
+      for (const NodeId v : g.out(u)) {
+        const NodeId cu = comp[u];
+        const NodeId cv = comp[static_cast<std::size_t>(v)];
+        if (cu == cv) continue;
+        const NodeId high = std::max(cu, cv);
+        if (comp[static_cast<std::size_t>(high)] == high) {
+          comp[static_cast<std::size_t>(high)] = std::min(cu, cv);
+          change = true;
+        }
+      }
+    for (std::size_t v = 0; v < n; ++v)
+      while (comp[v] != comp[static_cast<std::size_t>(comp[v])])
+        comp[v] = comp[static_cast<std::size_t>(comp[v])];
+  }
+  return comp;
+}
+
 // Pull PageRank with dangling mass spread uniformly. iterations > 0 runs
 // exactly that many sweeps; iterations == 0 runs to the fixed point (L1
 // change below 1e-13).
 inline std::vector<double> pagerank(const Adjacency& g, int iterations,
                                     double damping = 0.85) {
-  const std::size_t n = g.out.size();
+  const std::size_t n = g.size();
   std::vector<double> score(n, 1.0 / static_cast<double>(n));
   std::vector<double> contrib(n, 0.0);
   const double base = (1.0 - damping) / static_cast<double>(n);
   for (int it = 0; iterations == 0 || it < iterations; ++it) {
     double dangling = 0.0;
     for (std::size_t v = 0; v < n; ++v) {
-      if (g.out[v].empty())
+      if (g.out(v).empty())
         dangling += score[v];
       else
-        contrib[v] = score[v] / static_cast<double>(g.out[v].size());
+        contrib[v] = score[v] / static_cast<double>(g.out(v).size());
     }
     const double share = damping * dangling / static_cast<double>(n);
     double change = 0.0;
     for (std::size_t v = 0; v < n; ++v) {
       double in = 0.0;
-      for (const NodeId u : g.out[v]) in += contrib[static_cast<std::size_t>(u)];
+      for (const NodeId u : g.out(v)) in += contrib[static_cast<std::size_t>(u)];
       const double next = base + share + damping * in;
       change += std::abs(next - score[v]);
       score[v] = next;
@@ -118,7 +158,7 @@ inline std::vector<double> pagerank(const Adjacency& g, int iterations,
 // edge, as the program's kernel does on a multigraph.
 inline std::vector<double> betweenness(const Adjacency& g,
                                        const std::vector<NodeId>& sources) {
-  const std::size_t n = g.out.size();
+  const std::size_t n = g.size();
   std::vector<double> score(n, 0.0);
   std::vector<double> sigma(n);
   std::vector<double> delta(n);
@@ -133,7 +173,7 @@ inline std::vector<double> betweenness(const Adjacency& g,
     depth[static_cast<std::size_t>(s)] = 0;
     for (std::size_t head = 0; head < order.size(); ++head) {
       const auto u = static_cast<std::size_t>(order[head]);
-      for (const NodeId vv : g.out[u]) {
+      for (const NodeId vv : g.out(u)) {
         const auto v = static_cast<std::size_t>(vv);
         if (depth[v] < 0) {
           depth[v] = depth[u] + 1;
@@ -144,7 +184,7 @@ inline std::vector<double> betweenness(const Adjacency& g,
     }
     for (std::size_t i = order.size(); i-- > 0;) {
       const auto w = static_cast<std::size_t>(order[i]);
-      for (const NodeId vv : g.out[w]) {
+      for (const NodeId vv : g.out(w)) {
         const auto v = static_cast<std::size_t>(vv);
         if (depth[v] == depth[w] - 1)
           delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w]);
@@ -199,7 +239,7 @@ inline bool same_partition(const std::vector<NodeId>& a,
 // the source along edges of `g`.
 inline std::vector<std::int64_t> depths_from_parents(
     const Adjacency& g, const std::vector<NodeId>& parent, NodeId source) {
-  const std::size_t n = g.out.size();
+  const std::size_t n = g.size();
   if (parent.size() != n || parent[static_cast<std::size_t>(source)] != source)
     return {};
   std::vector<std::int64_t> depth(n, -2);  // -2 = not yet resolved
@@ -218,7 +258,7 @@ inline std::vector<std::int64_t> depths_from_parents(
       if (p < 0 || static_cast<std::size_t>(p) >= n ||
           chain.size() > n)
         return {};
-      const auto& nb = g.out[static_cast<std::size_t>(p)];
+      const auto nb = g.out(static_cast<std::size_t>(p));
       if (std::find(nb.begin(), nb.end(), v) == nb.end()) return {};
       v = p;
     }

@@ -4,10 +4,10 @@ metric's median, quartiles and spread ((Q3 - Q1) / median, quartiles as
 statistics.quantiles(values, n=4) gives them).
 
 One build:
-    python3 perfbench/steady.py --workload uniform --runs 10
+    python3 perfbench/steady.py --workload citpatents --runs 10
 Two builds (each argument is the root of a checkout); the order of the two
 alternates from one seed to the next so drift over time hits both sides:
-    python3 perfbench/steady.py --workload uniform --runs 10 \\
+    python3 perfbench/steady.py --workload citpatents --runs 10 \\
         --compare /path/to/parent /path/to/change
 
 Seeds are --seed0, --seed0+1, ...; --trace 1 reports the per-layer
@@ -34,7 +34,7 @@ def run_once(root, workload, seed, seconds, trace):
     lines = r.stdout.strip().splitlines()
     if r.returncode != 0 or not lines:
         for line in r.stderr.splitlines():
-            if "CHECK FAILED" in line or "threw" in line or "deadline" in line:
+            if "CHECK FAILED" in line or "threw" in line or "killed" in line:
                 sys.stderr.write(line[:2000] + "\n")
         raise SystemExit(f"run failed: {' '.join(cmd)} (exit {r.returncode})")
     return json.loads(lines[-1])
