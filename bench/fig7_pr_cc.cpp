@@ -1,10 +1,13 @@
 // Figure 7: PageRank and Connected Components runtime, normalized to CSR
 // on PM, single analysis thread.
 //
-// Expected shape (paper §4.3): DGAP within ~1.3-1.4x of CSR — clearly ahead
-// of BAL / LLAMA / XPGraph on these whole-graph kernels, and usually ahead
-// of GraphOne-FD despite GraphOne analyzing from DRAM, because the mutable
-// CSR keeps cache locality that an adjacency list lacks.
+// Paper shape (§4.3): DGAP within ~1.3-1.4x of CSR — clearly ahead of
+// BAL / LLAMA / XPGraph on these whole-graph kernels, and usually ahead of
+// GraphOne-FD despite GraphOne analyzing from DRAM, because the mutable
+// CSR keeps cache locality that an adjacency list lacks. Measured here
+// (single shot, one thread, scales 0.1 and 0.5 on a 4-thread x86 VM, five
+// runs): DGAP PR 1.5-1.6x of CSR on citpatents and 1.7-2.2x on orkut, CC
+// 1.2-1.9x on both; single-shot ratios move by up to ~20% run to run.
 // --shards=a,b adds a sharded-DGAP section: the same kernels run over the
 // composed per-shard snapshots (ShardedSnapshot), demonstrating that
 // analysis is not regressed by partitioning ingestion.

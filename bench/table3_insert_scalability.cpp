@@ -4,9 +4,8 @@
 // Expected shape (paper §4.2.1): DGAP scales with threads and is best or
 // near-best; BAL occasionally wins thanks to per-vertex locks; XPGraph wins
 // on the three small graphs whose entire edge set fits in its circular log.
-// NOTE: this container exposes 2 hardware threads — counts above that
-// oversubscribe, so absolute scaling tops out early (recorded in
-// EXPERIMENTS.md).
+// NOTE: counts above the host's hardware threads oversubscribe, so
+// absolute scaling tops out early (README.md, "Reproduction notes").
 //
 // --async-writers=a,b adds an async-ingestion sweep: the T thread counts
 // become producer counts submitting to the staging queues while K

@@ -66,23 +66,26 @@ std::vector<double> betweenness_centrality(
         std::int64_t b = 0;
         std::int64_t e = 0;
         while (src.next(b, e)) {
-          for (std::int64_t i = b; i < e; ++i) {
-            const NodeId u = *(qbegin + i);
-            const std::int64_t sigma_u =
-                sigma[u].load(std::memory_order_relaxed);
-            g.for_each_out(u, [&](NodeId v) {
-              std::int32_t expected = -1;
-              if (depth[v] == -1 &&
-                  __atomic_compare_exchange_n(&depth[v], &expected,
-                                              level + 1, false,
-                                              __ATOMIC_ACQ_REL,
-                                              __ATOMIC_ACQUIRE)) {
-                lqueue.push_back(v);
-              }
-              if (depth[v] == level + 1)
-                sigma[v].fetch_add(sigma_u, std::memory_order_relaxed);
-            });
-          }
+          {
+            auto&& rd = block_reader(g);
+            for (std::int64_t i = b; i < e; ++i) {
+              const NodeId u = *(qbegin + i);
+              const std::int64_t sigma_u =
+                  sigma[u].load(std::memory_order_relaxed);
+              rd.for_each_out(u, [&](NodeId v) {
+                std::int32_t expected = -1;
+                if (depth[v] == -1 &&
+                    __atomic_compare_exchange_n(&depth[v], &expected,
+                                                level + 1, false,
+                                                __ATOMIC_ACQ_REL,
+                                                __ATOMIC_ACQUIRE)) {
+                  lqueue.push_back(v);
+                }
+                if (depth[v] == level + 1)
+                  sigma[v].fetch_add(sigma_u, std::memory_order_relaxed);
+              });
+            }
+          }  // the block's reader is dropped before the assist point
           par::assist_point();
         }
         lqueue.flush();
@@ -102,13 +105,14 @@ std::vector<double> betweenness_centrality(
       par::for_blocks(
           static_cast<std::int64_t>(frontier.size()), 64,
           [&](std::int64_t b, std::int64_t e) {
+            auto&& rd = block_reader(g);
             for (std::int64_t i = b; i < e; ++i) {
               const NodeId w = frontier[static_cast<std::size_t>(i)];
               const double coeff =
                   (1.0 + delta[w]) /
                   static_cast<double>(
                       sigma[w].load(std::memory_order_relaxed));
-              g.for_each_out(w, [&](NodeId v) {
+              rd.for_each_out(w, [&](NodeId v) {
                 if (depth[v] == l) {
                   const double add =
                       static_cast<double>(

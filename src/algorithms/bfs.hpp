@@ -39,12 +39,13 @@ std::int64_t bu_step(const G& g, std::vector<NodeId>& parent,
       n, 1024, std::int64_t{0},
       [&](std::int64_t blk_b, std::int64_t blk_e) {
         std::int64_t awake = 0;
+        auto&& rd = block_reader(g);
         for (NodeId v = blk_b; v < blk_e; ++v) {
           if (parent[v] >= 0) continue;
           bool found = false;
           // Early-exit scan: stop at the first frontier neighbor (GAPBS
           // BUStep).
-          g.for_each_out(v, [&](NodeId u) -> bool {
+          rd.for_each_out(v, [&](NodeId u) -> bool {
             if (front.get_bit(static_cast<std::size_t>(u))) {
               parent[v] = u;
               found = true;
@@ -75,20 +76,23 @@ std::int64_t td_step(const G& g, std::vector<NodeId>& parent,
         std::int64_t b = 0;
         std::int64_t e = 0;
         while (src.next(b, e)) {
-          for (std::int64_t i = b; i < e; ++i) {
-            const NodeId u = *(qbegin + i);
-            g.for_each_out(u, [&](NodeId v) {
-              NodeId cur = parent[v];
-              if (cur < 0) {
-                if (__atomic_compare_exchange_n(&parent[v], &cur, u, false,
-                                                __ATOMIC_ACQ_REL,
-                                                __ATOMIC_ACQUIRE)) {
-                  lqueue.push_back(v);
-                  scout += -cur;  // degree was encoded as -(deg+1)
+          {
+            auto&& rd = block_reader(g);
+            for (std::int64_t i = b; i < e; ++i) {
+              const NodeId u = *(qbegin + i);
+              rd.for_each_out(u, [&](NodeId v) {
+                NodeId cur = parent[v];
+                if (cur < 0) {
+                  if (__atomic_compare_exchange_n(&parent[v], &cur, u, false,
+                                                  __ATOMIC_ACQ_REL,
+                                                  __ATOMIC_ACQUIRE)) {
+                    lqueue.push_back(v);
+                    scout += -cur;  // degree was encoded as -(deg+1)
+                  }
                 }
-              }
-            });
-          }
+              });
+            }
+          }  // the block's reader is dropped before the assist point
           par::assist_point();
         }
         lqueue.flush();

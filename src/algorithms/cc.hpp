@@ -32,8 +32,9 @@ std::vector<NodeId> connected_components(const G& g) {
         n, 1024, false,
         [&](std::int64_t blk_b, std::int64_t blk_e) {
           bool part = false;
+          auto&& rd = block_reader(g);
           for (NodeId u = blk_b; u < blk_e; ++u) {
-            g.for_each_out(u, [&](NodeId v) {
+            rd.for_each_out(u, [&](NodeId v) {
               const NodeId comp_u = comp[u];
               const NodeId comp_v = comp[v];
               if (comp_u == comp_v) return;

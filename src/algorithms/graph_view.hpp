@@ -24,6 +24,23 @@ concept GraphView = requires(const G& g, NodeId v) {
   g.for_each_out(v, [](NodeId) {});
 };
 
+// Read handle for one block of vertex reads. A view with a reader()
+// (core::Snapshot) hands out a Snapshot::Reader, which holds one
+// reader-gate lane across the block instead of entering the gate per
+// vertex; every other view (SnapshotCsr, the baselines, DeltaMirror,
+// ShardedSnapshot) reads through itself. Bind it with `auto&&` inside the
+// block body and let it die before par::assist_point(), a scheduler wait
+// or a store write: a task run from there that needs the structural gate
+// (an assisted offloaded rebalance) would wait on the lane this thread
+// holds.
+template <GraphView G>
+decltype(auto) block_reader(const G& g) {
+  if constexpr (requires { g.reader(); })
+    return g.reader();
+  else
+    return (g);
+}
+
 // Total directed edge count by summing degrees (views cache their own
 // counts where cheaper).
 template <GraphView G>

@@ -97,8 +97,9 @@ IncrementalCcResult incremental_cc(const G& g,
     // Symmetrized member-induced adjacency (see header comment): an edge
     // in either direction connects both endpoints, as full SV treats it.
     std::vector<std::vector<NodeId>> adj(members.size());
+    auto&& rd = block_reader(g);  // sequential, no store or scheduler calls
     for (std::size_t i = 0; i < members.size(); ++i) {
-      g.for_each_out(members[i], [&](NodeId w) {
+      rd.for_each_out(members[i], [&](NodeId w) {
         if (w >= 0 && w < n && member[w] != 0) {
           adj[i].push_back(w);
           adj[mpos[w]].push_back(members[i]);

@@ -67,6 +67,7 @@ class DeltaMirror {
     slot_degree_.resize(static_cast<std::size_t>(n), 0);
     std::size_t ii = 0;  // cursor into delta.inserted
     std::size_t di = 0;  // cursor into delta.deleted
+    auto&& rd = block_reader(newer);
     for (const NodeId v : delta.changed) {
       const std::size_t ins_begin = ii;
       while (ii < delta.inserted.size() && delta.inserted[ii].src == v) ++ii;
@@ -81,7 +82,7 @@ class DeltaMirror {
       if (di != del_begin) {
         ++rebuilt_vertices_;
         adj_[v].clear();
-        newer.for_each_out(v, [&](NodeId d) { adj_[v].push_back(d); });
+        rd.for_each_out(v, [&](NodeId d) { adj_[v].push_back(d); });
       } else {
         for (std::size_t k = ins_begin; k < ii; ++k)
           adj_[v].push_back(delta.inserted[k].dst);
@@ -118,12 +119,13 @@ class DeltaMirror {
     adj_.assign(static_cast<std::size_t>(n), {});
     slot_degree_.resize(static_cast<std::size_t>(n));
     total_slots_ = 0;
+    auto&& rd = block_reader(view);
     for (NodeId v = 0; v < n; ++v) {
       const std::int64_t d = view.out_degree(v);
       slot_degree_[v] = static_cast<std::uint32_t>(d);
       total_slots_ += static_cast<std::uint64_t>(d);
       adj_[v].reserve(static_cast<std::size_t>(d));
-      view.for_each_out(v, [&](NodeId dst) { adj_[v].push_back(dst); });
+      rd.for_each_out(v, [&](NodeId dst) { adj_[v].push_back(dst); });
     }
   }
 

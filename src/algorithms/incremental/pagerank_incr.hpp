@@ -38,6 +38,7 @@
 #include "src/algorithms/graph_view.hpp"
 #include "src/algorithms/incremental/frontier.hpp"
 #include "src/core/snapshot_delta.hpp"
+#include "src/sched/parallel.hpp"
 
 namespace dgap::algorithms {
 
@@ -71,30 +72,44 @@ IncrementalPageRankResult incremental_pagerank(
   const double base = (1.0 - params.damping) / nd;
 
   std::vector<double> contrib(static_cast<std::size_t>(n), 0.0);
-  // Full pull iterations (the same update rule as pagerank.hpp) until one
-  // iteration's total L1 change drops below tolerance: the shared stopping
-  // criterion that makes incremental and full comparable.
+  const auto plus = [](double a, double b) { return a + b; };
+  // Full pull iterations (the same update rule, blocks and reduction order
+  // as pagerank.hpp) until one iteration's total L1 change drops below
+  // tolerance: the shared stopping criterion that makes incremental and
+  // full comparable.
   const auto sweep_to_tolerance = [&](std::vector<double>& score) {
     for (int s = 0; s < params.max_iterations; ++s) {
-      double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-      for (NodeId v = 0; v < n; ++v) {
-        const std::int64_t deg = g.out_degree(v);
-        if (deg > 0)
-          contrib[v] = score[v] / static_cast<double>(deg);
-        else
-          dangling += score[v];
-      }
+      const double dangling = par::reduce_blocks(
+          n, 2048, 0.0,
+          [&](std::int64_t b, std::int64_t e) {
+            double part = 0.0;
+            for (NodeId v = b; v < e; ++v) {
+              const std::int64_t deg = g.out_degree(v);
+              if (deg > 0)
+                contrib[v] = score[v] / static_cast<double>(deg);
+              else
+                part += score[v];
+            }
+            return part;
+          },
+          plus);
       const double dangling_share = params.damping * dangling / nd;
-      double change = 0.0;
-#pragma omp parallel for schedule(dynamic, 256) reduction(+ : change)
-      for (NodeId v = 0; v < n; ++v) {
-        double incoming = 0.0;
-        g.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
-        const double next = base + dangling_share + params.damping * incoming;
-        change += next > score[v] ? next - score[v] : score[v] - next;
-        score[v] = next;
-      }
+      const double change = par::reduce_blocks(
+          n, 256, 0.0,
+          [&](std::int64_t b, std::int64_t e) {
+            double part = 0.0;
+            auto&& rd = block_reader(g);
+            for (NodeId v = b; v < e; ++v) {
+              double incoming = 0.0;
+              rd.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
+              const double next =
+                  base + dangling_share + params.damping * incoming;
+              part += next > score[v] ? next - score[v] : score[v] - next;
+              score[v] = next;
+            }
+            return part;
+          },
+          plus);
       ++r.iterations;
       r.active_vertices += static_cast<std::uint64_t>(n);
       if (change < params.tolerance) break;
@@ -149,45 +164,53 @@ IncrementalPageRankResult incremental_pagerank(
   for (const NodeId v : delta.changed)
     edge_work += static_cast<std::uint64_t>(g.out_degree(v));
 
-  Frontier cur(n);
-  Frontier nxt(n);
-  if (edge_work <= edge_budget) {
-    for (const NodeId v : delta.changed) {
-      cur.push(v);
-      g.for_each_out(v, [&](NodeId u) {
-        if (u < n) cur.push(u);
-      });
-    }
-  }
-
-  int rounds = 0;
-  while (!cur.empty() && rounds < params.max_iterations &&
-         edge_work <= edge_budget) {
-    double residual = 0.0;
-    for (const NodeId v : cur.items()) {
-      double incoming = 0.0;
-      g.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
-      const double next = base + dangling_share + params.damping * incoming;
-      const double diff = next > score[v] ? next - score[v] : score[v] - next;
-      residual += diff;
-      score[v] = next;
-      const std::int64_t deg = g.out_degree(v);
-      edge_work += static_cast<std::uint64_t>(deg);
-      // Gauss-Seidel: the updated contribution is visible to vertices later
-      // in this same round, which shortens the correction chains.
-      if (deg > 0) contrib[v] = next / static_cast<double>(deg);
-      if (diff > eps) {
-        g.for_each_out(v, [&](NodeId u) {
-          if (u < n) nxt.push(u);
+  {
+    // The frontier phase is sequential and touches neither the store nor
+    // the scheduler, so one reader serves it whole; it is dropped before
+    // the certification sweeps fan out.
+    Frontier cur(n);
+    Frontier nxt(n);
+    auto&& rd = block_reader(g);
+    if (edge_work <= edge_budget) {
+      for (const NodeId v : delta.changed) {
+        cur.push(v);
+        rd.for_each_out(v, [&](NodeId u) {
+          if (u < n) cur.push(u);
         });
       }
     }
-    r.active_vertices += cur.size();
-    ++r.iterations;
-    ++rounds;
-    cur.clear();
-    cur.swap(nxt);
-    if (residual < params.tolerance) break;
+
+    int rounds = 0;
+    while (!cur.empty() && rounds < params.max_iterations &&
+           edge_work <= edge_budget) {
+      double residual = 0.0;
+      for (const NodeId v : cur.items()) {
+        double incoming = 0.0;
+        rd.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
+        const double next =
+            base + dangling_share + params.damping * incoming;
+        const double diff =
+            next > score[v] ? next - score[v] : score[v] - next;
+        residual += diff;
+        score[v] = next;
+        const std::int64_t deg = g.out_degree(v);
+        edge_work += static_cast<std::uint64_t>(deg);
+        // Gauss-Seidel: the updated contribution is visible to vertices
+        // later in this same round, which shortens the correction chains.
+        if (deg > 0) contrib[v] = next / static_cast<double>(deg);
+        if (diff > eps) {
+          rd.for_each_out(v, [&](NodeId u) {
+            if (u < n) nxt.push(u);
+          });
+        }
+      }
+      r.active_vertices += cur.size();
+      ++r.iterations;
+      ++rounds;
+      cur.clear();
+      cur.swap(nxt);
+      if (residual < params.tolerance) break;
+    }
   }
 
   // Certification sweeps: establish the full kernel's own stopping

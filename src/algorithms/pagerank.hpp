@@ -63,9 +63,10 @@ std::vector<double> pagerank(const G& g, const PageRankParams& params = {}) {
         n, 256, 0.0,
         [&](std::int64_t b, std::int64_t e) {
           double part = 0.0;
+          auto&& rd = block_reader(g);
           for (NodeId v = b; v < e; ++v) {
             double incoming = 0.0;
-            g.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
+            rd.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
             const double next =
                 base + dangling_share + params.damping * incoming;
             part += next > score[v] ? next - score[v] : score[v] - next;

@@ -1,5 +1,6 @@
 // Aligned plain-text table printer: every bench prints its paper table /
-// figure series through this, so EXPERIMENTS.md rows can be pasted verbatim.
+// figure series through this, so rows can be pasted verbatim (README.md,
+// "Reproduction notes").
 #pragma once
 
 #include <iosfwd>

@@ -256,7 +256,7 @@ void DgapStore::update_batch_internal(std::span<const Edge> all,
             ElogEntry* entry = elog(home) + eidx;
             *entry = make_elog_entry(src, edges[key_idx(items[k])].dst,
                                      tombstone, live.el_head_p1);
-            sm.elog_raw += 1;
+            store_u32_relaxed(sm.elog_raw, sm.elog_raw + 1);
             sm.elog_live += 1;
             live.el_count += 1;
             publish_u32(live.el_head_p1, eidx + 1);

@@ -370,8 +370,10 @@ void DgapStore::append_vertex_locked(NodeId v) {
     if (v == 0) {
       pos = 0;
     } else {
+      // Unlocked probe, re-validated under the section lock below; a
+      // window rebalance may be rewriting prev concurrently.
       const VertexEntry& prev = entries_[v - 1];
-      pos = prev.start + 1 + prev.arr_count;
+      pos = relaxed_u64(prev.start) + 1 + relaxed_u32(prev.arr_count);
     }
     if (pos >= capacity_) {
       // The tail is out of room. Redistribute gaps toward the array end
@@ -393,7 +395,8 @@ void DgapStore::append_vertex_locked(NodeId v) {
     // Re-validate: a rebalance may have moved the tail.
     const std::uint64_t pos2 =
         v == 0 ? 0
-               : entries_[v - 1].start + 1 + entries_[v - 1].arr_count;
+               : relaxed_u64(entries_[v - 1].start) + 1 +
+                     relaxed_u32(entries_[v - 1].arr_count);
     if (pos2 != pos || pos2 >= capacity_ || !is_gap(slots_[pos2])) {
       sections_[sec].lock.unlock();
       if (pos2 < capacity_ && !is_gap(slots_[pos2])) {
@@ -520,7 +523,7 @@ void DgapStore::insert_internal(NodeId src, NodeId dst, bool tombstone) {
         ElogEntry* entry = elog(home) + idx;
         *entry = make_elog_entry(src, dst, tombstone, live.el_head_p1);
         pool_.persist(entry, sizeof(ElogEntry));
-        sm.elog_raw += 1;
+        store_u32_relaxed(sm.elog_raw, sm.elog_raw + 1);  // unlocked probes
         sm.elog_live += 1;
         store_u32_relaxed(entries_[src].el_count, live.el_count + 1);
         publish_u32(entries_[src].el_head_p1, idx + 1);
@@ -706,7 +709,7 @@ Snapshot DgapStore::consistent_view() const {
   return snap;
 }
 
-std::size_t DgapStore::reader_lane_enter(NodeId v) const {
+std::size_t DgapStore::reader_lane_enter(NodeId v, bool& windowed) const {
   // Stripe in-flight reader counts by thread so concurrent kernels don't
   // serialize on one cache line.
   static std::atomic<std::size_t> next_lane{0};
@@ -735,8 +738,10 @@ std::size_t DgapStore::reader_lane_enter(NodeId v) const {
       banks[bank].fetch_sub(1, std::memory_order_release);
       continue;
     }
-    if (DGAP_LIKELY(struct_writers_.load(std::memory_order_seq_cst) == 0))
+    if (DGAP_LIKELY(struct_writers_.load(std::memory_order_seq_cst) == 0)) {
+      windowed = false;
       return lane * 2 + bank;
+    }
     // A structural op is announced. A WINDOWED op (rebalance) publishes
     // its slot range and drains only the pre-flip bank: if this read's run
     // starts outside the window it cannot touch moving slots (windows are
@@ -755,7 +760,10 @@ std::size_t DgapStore::reader_lane_enter(NodeId v) const {
           std::atomic_ref<std::uint64_t>(
               const_cast<std::uint64_t&>(entries_[v].start))
               .load(std::memory_order_relaxed);
-      if (start < wb || start >= we) return lane * 2 + bank;
+      if (start < wb || start >= we) {
+        windowed = true;
+        return lane * 2 + bank;
+      }
     }
     // In the window (or a full op): back out so the drain can complete,
     // then wait — this is the writer preference that keeps a PageRank
@@ -786,9 +794,10 @@ void DgapStore::struct_mutation_begin() const {
   // struct_writers_ (both seq_cst): a reader that sees writers != 0 from
   // this op is therefore guaranteed to also see full != 0 and stay out,
   // rather than misclassify the resize as a windowed op and self-admit.
-  // Reads are microseconds (one vertex's frozen prefix), so the drain is
-  // bounded — unlike the pre-refactor design, where the gate was held for
-  // a snapshot's LIFETIME and one long analysis wedged every resize.
+  // A held lane backs out at its reader's next vertex, so the drain is
+  // bounded by one vertex read plus the reader's work between reads —
+  // unlike the pre-refactor design, where the gate was held for a
+  // snapshot's LIFETIME and one long analysis wedged every resize.
   struct_full_.fetch_add(1, std::memory_order_seq_cst);
   struct_writers_.fetch_add(1, std::memory_order_seq_cst);
   for (const ReadLane& l : read_lanes_) {

@@ -185,6 +185,18 @@ class DgapStore {
     struct_window_begin(begin_slot, end_slot);
   }
   void debug_struct_gate_end() const { struct_window_end(); }
+  // Reader-gate lanes and DRAM-tier frame pins currently held, summed over
+  // all threads: 0 whenever no snapshot read is in flight (a read that
+  // threw must not leave either behind).
+  [[nodiscard]] std::int64_t debug_reader_lanes_held() const {
+    std::int64_t held = 0;
+    for (const ReadLane& l : read_lanes_)
+      for (const auto& bank : l.n) held += bank.load(std::memory_order_acquire);
+    return held;
+  }
+  [[nodiscard]] std::uint64_t debug_cache_pins() const {
+    return cache_ ? cache_->pinned_frames() : 0;
+  }
 
   // DRAM hot-tier counters (src/tier); zeroed struct when the tier is off.
   [[nodiscard]] tier::CacheStats cache_stats() const {
@@ -333,39 +345,20 @@ class DgapStore {
                            std::uint64_t sec);
 
   // --- snapshot read path (snapshot.hpp) ------------------------------------
-  // The ONLY way to reach raw frozen-prefix reads: emit the first `limit`
-  // chronological edge slots of v (tombstone bits intact, early-exit via
-  // emit_stop). Takes no section locks — plain writers only append past
-  // the frozen prefix, so the read emits directly from the arrays while a
-  // striped reader gate (below) excludes just the structural ops that move
-  // data. Reachable only through a Snapshot (which holds the frozen
-  // limit), so the "caller must pin the view" invariant is structural, not
-  // a comment.
-  template <typename F>
-  void read_frozen(NodeId v, std::uint32_t limit, F&& emit) const;
-  // Generalization used by the snapshot diff: emit frozen chronological
-  // slots [from, limit) of v. read_frozen is the from == 0 case; the
-  // per-vertex slot sequence is append-only across structural ops (splices
-  // preserve chronological order), so a [d_old, d_new) suffix read is exact.
-  template <typename F>
-  void read_frozen_range(NodeId v, std::uint32_t from, std::uint32_t limit,
-                         F&& emit) const;
-  // Emit `count` frozen slots starting at array position `first`, section
-  // piece by section piece: DRAM tier on a hit, latency-charged pmem read
-  // (with opportunistic tier population) on a miss. Returns false when the
-  // emitter stopped early.
-  template <typename F>
-  bool emit_run_frozen(std::uint64_t first, std::uint32_t count,
-                       F&& emit) const;
+  // Raw frozen-prefix reads live in Snapshot::Reader (defined below, a
+  // friend): reachable only through a Snapshot, which holds the frozen
+  // degree limit, so the "caller must pin the view" invariant is
+  // structural, not a comment.
 
   // Striped reader/writer gate between snapshot reads and STRUCTURAL ops
   // (window rebalance, resize flip, ablation nearby-shift) — the brlock
-  // pattern: readers hold a per-thread-striped count for ONE vertex read;
-  // a structural op announces itself (struct_writers_), drains the lanes,
-  // mutates, releases. Writer-preferring: announced structural ops turn
-  // new readers away, so a read storm cannot starve a rebalance. This is
-  // what lets a snapshot LIFETIME pin nothing: the gate is held per read,
-  // never per snapshot.
+  // pattern: readers hold a per-thread-striped count across a run of vertex
+  // reads (ReaderLane below) and back out at the next vertex once an op is
+  // announced; a structural op announces itself (struct_writers_), drains
+  // the lanes, mutates, releases. Writer-preferring: announced structural
+  // ops turn new readers away, so a read storm cannot starve a rebalance.
+  // This is what lets a snapshot LIFETIME pin nothing: the gate is held
+  // per block of reads, never per snapshot.
   //
   // Windowed admission (bank-flip): a window rebalance announces its slot
   // range [struct_win_begin_, struct_win_end_) instead of excluding every
@@ -377,8 +370,57 @@ class DgapStore {
   // it backs out and spins, exactly the old behavior. Full-exclusion ops
   // (resize flip, ablation nearby-shift) additionally raise struct_full_
   // and drain BOTH banks, so they keep total exclusion.
-  std::size_t reader_lane_enter(NodeId v) const;  // returns lane*2 + bank
+  // Returns lane*2 + bank; `windowed` tells whether the read was admitted
+  // past an announced window (its lane is good for v only).
+  std::size_t reader_lane_enter(NodeId v, bool& windowed) const;
   void reader_lane_exit(std::size_t packed) const;
+  // Scoped lane for a run of vertex reads (Snapshot::Reader). admit(v)
+  // keeps a held lane while no structural op is announced — one acquire
+  // load — and otherwise backs out and re-enters for v through
+  // reader_lane_enter, so writer preference and the per-vertex window
+  // check hold exactly as for a one-vertex read. Holding across vertices
+  // is safe: an op cannot move data until it has drained the lane, and a
+  // lane admitted past an announced window is re-checked at the next
+  // vertex (struct_writers_ is still raised). The destructor releases the
+  // lane, so a throwing emit callback cannot leak it — a leaked lane makes
+  // the next structural op drain forever.
+  class ReaderLane {
+   public:
+    explicit ReaderLane(const DgapStore& s) : s_(s) {}
+    ~ReaderLane() { release(); }
+    ReaderLane(const ReaderLane&) = delete;
+    ReaderLane& operator=(const ReaderLane&) = delete;
+
+    DGAP_ALWAYS_INLINE void admit(NodeId v) {
+      if (DGAP_LIKELY(packed_ != kNone &&
+                      s_.struct_writers_.load(std::memory_order_acquire) ==
+                          0))
+        return;
+      enter(v);
+    }
+    void release() {
+      if (packed_ != kNone) {
+        s_.reader_lane_exit(packed_);
+        packed_ = kNone;
+      }
+    }
+
+   private:
+    DGAP_NOINLINE void enter(NodeId v) {
+      if (packed_ != kNone) {
+        // A structural op is announced: back off so its drain can finish.
+        // Re-checking a window admission is routine, not a back-off.
+        if (!windowed_) ++s_.stats_.snapshot_read_retries;
+        release();
+      }
+      packed_ = s_.reader_lane_enter(v, windowed_);
+    }
+
+    static constexpr std::size_t kNone = ~std::size_t{0};
+    const DgapStore& s_;
+    std::size_t packed_ = kNone;
+    bool windowed_ = false;
+  };
   void struct_mutation_begin() const;  // full: announce + drain everything
   void struct_mutation_end() const;
   // Windowed variant (rebalance only — callers serialize on rebalance_mu_):
@@ -503,6 +545,7 @@ class DgapStore {
   std::vector<Slot> reconstruct_inflight_staging(const UlogDescriptor& d) const;
 
   friend class Snapshot;
+  friend class Snapshot::Reader;
 
   pmem::PmemPool& pool_;
   DgapOptions opts_;
@@ -647,160 +690,91 @@ class DgapStore {
 };
 
 // ---------------------------------------------------------------------------
-// Template implementations (snapshot read path)
+// Snapshot::Reader — the snapshot read path
 // ---------------------------------------------------------------------------
 
-// Correctness without section locks: while the reader gate is held no
-// structural op can move data, and plain writers only ever (a) write a
-// fresh slot then release-publish arr_count, (b) store an elog entry then
-// release-publish el_head_p1 (publish_u32/acquire_u32 above), so an
-// acquired count/head never indexes unpublished data — it can only
-// UNDER-read the live state, and the frozen `limit` caps everything at
-// the snapshot's cut.
-template <typename F>
-void DgapStore::read_frozen(NodeId v, std::uint32_t limit, F&& emit) const {
-  read_frozen_range(v, 0, limit, std::forward<F>(emit));
-}
+// Reads one snapshot's frozen prefixes, holding one reader-gate lane across
+// consecutive vertex reads (DgapStore::ReaderLane). The per-read fixed
+// costs live here, once per reader: the open-store check, the tier test and
+// the read-charge test. An untiered, uncharged read is then the degree, the
+// tombstone flag, the vertex entry, the acquired arr_count and a plain loop
+// over the slots; the DRAM/cold tiers and the read charge sit behind one
+// branch of emit_run_frozen.
+//
+// Contract: one thread, one block of reads. A Reader must not outlive its
+// Snapshot, and must not be held across par::assist_point(), a scheduler
+// wait or a write to the same store — each can run a structural op on this
+// thread (an assisted offloaded rebalance), which would drain the lane this
+// thread holds and wait forever. The tier and charge settings are sampled
+// at construction. Throws std::logic_error (from the constructor) when the
+// snapshot's store is gone.
+class Snapshot::Reader {
+ public:
+  explicit Reader(const Snapshot& snap)
+      : store_(open_store(snap)),
+        degree_(snap.degree_.data()),
+        tomb_(snap.tomb_.data()),
+        lane_(store_),
+        plain_(store_.cold_ == nullptr && store_.cache_ == nullptr &&
+               !reads_charged()) {}
+  Reader(const Reader&) = delete;
+  Reader& operator=(const Reader&) = delete;
 
-template <typename F>
-void DgapStore::read_frozen_range(NodeId v, std::uint32_t from,
-                                  std::uint32_t limit, F&& emit) const {
-  if (limit <= from) return;
-  const std::size_t lane = reader_lane_enter(v);
-  const VertexEntry& ent = entries_[v];
-  // Acquire the published count BEFORE touching slots: pairs with the
-  // writer's release in publish_u32, so every slot under arr_count is
-  // fully stored by the time we index it (free on x86). `start` is plain:
-  // it changes only under the structural gate, and a windowed rebalance
-  // rewrites starts only for in-window vertices — which this reader, if
-  // admitted past an announced window, is not (reader_lane_enter probed
-  // the same field atomically to decide).
-  const std::uint32_t arr_count = acquire_u32(ent.arr_count);
-  const std::uint64_t start = ent.start;
-  const std::uint32_t arr_take = std::min<std::uint32_t>(limit, arr_count);
-  bool stopped = false;
-  if (DGAP_LIKELY(start + 1 + arr_take <= capacity_)) {
-    if (from < arr_take)
-      stopped = !emit_run_frozen(start + 1 + from, arr_take - from, emit);
-    std::uint32_t remaining = limit - arr_take;
-    const std::uint32_t head_p1 =
-        remaining > 0 && !stopped ? acquire_u32(ent.el_head_p1) : 0;
-    if (DGAP_UNLIKELY(head_p1 != 0)) {
-      // Walk the back-pointer chain (newest first) into a FIFO buffer,
-      // then emit the oldest `remaining` entries in chronological order
-      // (paper §3.1.3's FIFO buffer of size rest_t(v)). The walk runs the
-      // FULL chain, not the first el_count hops: the racy entry copy can
-      // pair a stale el_count with a newer head (a concurrent append
-      // publishes count before head), and a count-bounded walk from a
-      // newer head would collect the newest entries instead of the oldest.
-      // The chain's oldest entries are immutable, so taking `remaining`
-      // from the back is exact for the frozen cut regardless of how many
-      // newer entries the head has grown. Back-pointers strictly decrease
-      // (an entry chains to an earlier index), so the walk terminates.
-      const ElogEntry* log = elog(sec_of(start));
-      thread_local std::vector<Slot> chain;  // newest-first scratch
-      chain.clear();
-      std::uint32_t idx_p1 = head_p1;
-      while (idx_p1 != 0 && idx_p1 <= elog_entries_) {
-        // Elog entries are never tiered into DRAM (they churn by design),
-        // so each chain hop is a charged pmem read.
-        pmem::latency_model().on_read(log + (idx_p1 - 1), 1);
-        const ElogEntry entry = log[idx_p1 - 1];
-        chain.push_back(encode_edge(elog_dst(entry), elog_tombstone(entry)));
-        if (entry.prev_p1 >= idx_p1) break;  // corrupt chain: stop short
-        idx_p1 = entry.prev_p1;
-      }
-      if (remaining > chain.size())
-        remaining = static_cast<std::uint32_t>(chain.size());
-      const std::uint32_t skip = from > arr_take ? from - arr_take : 0;
-      for (std::uint32_t i = skip; i < remaining; ++i)
-        if (emit_stop(emit, chain[chain.size() - 1 - i])) break;
-    }
+  // Snapshot::for_each_out / for_each_slot_from / neighbors, on this
+  // reader's lane.
+  template <typename F>
+  DGAP_ALWAYS_INLINE void for_each_out(NodeId v, F&& fn);
+  template <typename F>
+  void for_each_slot_from(NodeId v, std::uint32_t from, F&& fn);
+  [[nodiscard]] std::vector<NodeId> neighbors(NodeId v);
+
+ private:
+  static const DgapStore& open_store(const Snapshot& snap) {
+    snap.check_open();
+    return *snap.store_;
   }
-  reader_lane_exit(lane);
-}
-
-// Section-piece emission with the DRAM hot tier interposed. Correctness of
-// serving a frame instead of pmem: a frame is only (a) populated under the
-// section's writer lock — so the copy can't miss an append it races with —
-// and (b) kept in sync by writers mirroring every slot store under that
-// same lock BEFORE release-publishing arr_count. The acquire of arr_count
-// in read_frozen therefore covers the frame copy exactly as it covers the
-// pmem slots; structural moves invalidate frames under the structural gate
-// before any reader can re-enter. Misses fall back to the latency-charged
-// pmem read, so cache-off and cache-on runs are comparable.
-template <typename F>
-bool DgapStore::emit_run_frozen(std::uint64_t first, std::uint32_t count,
-                                F&& emit) const {
-  std::uint64_t pos = first;
-  std::uint32_t left = count;
-  thread_local std::vector<Slot> cold_scratch;  // cold-section file staging
-  while (left > 0) {
-    const std::uint64_t sec = sec_of(pos);
-    const std::uint64_t sec_base = sec << seg_shift_;
-    const auto n = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(left, sec_base + seg_slots_ - pos));
-    const Slot* src = nullptr;
-    tier::SectionCache::Pin pin;
-    if (DGAP_UNLIKELY(cold_ != nullptr)) {
-      // Feed the placement EWMA first so a section being read stops looking
-      // demotable, then serve straight from the file buffer if it is cold
-      // (an async promotion is scheduled inside; this read never waits on
-      // it). The residency probe happens AFTER read_frozen_range acquired
-      // arr_count — the ordering the cold-read correctness argument in
-      // cold_ops.cpp depends on.
-      cold_->note_read(sec);
-      if (cold_read_if_cold(sec, cold_scratch))
-        src = cold_scratch.data() + (pos - sec_base);
-    }
-    if (src == nullptr && DGAP_UNLIKELY(cache_ != nullptr)) {
-      pin = cache_->acquire(sec);
-      if (!pin) {
-        if (DGAP_UNLIKELY(tier::streaming_reads_active())) {
-          // Single-pass kernel (BFS/BC) declared itself streaming: serve
-          // the bulk read below without admitting a frame. Populating for
-          // a read that revisits each section ~2-3 times costs about what
-          // it saves (the PR-6 breakeven), so the bypass keeps single-pass
-          // kernels at cache-off speed while hits still hit above.
-          cache_->note_stream_bypass();
-        } else if (cache_->should_admit(sec)) {
-          // Populate needs the section's writer lock to exclude appenders
-          // for the copy window — but never block for it inside a reader
-          // lane (a structural op may hold the lock while draining the
-          // lanes we sit in). try_lock keeps the miss path deadlock-free.
-          if (sections_[sec].lock.try_lock()) {
-            pin = cache_->populate(sec, slots_ + sec_base);
-            sections_[sec].lock.unlock_no_pending();
-          }
-        }
-      }
-      if (pin) src = pin.data + (pos - sec_base);
-    }
-    if (src == nullptr) {
-      pmem::latency_model().on_read(
-          slots_ + pos,
-          (n * sizeof(Slot) + kCacheLineSize - 1) / kCacheLineSize);
-      src = slots_ + pos;
-    }
-    bool stop = false;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      if (emit_stop(emit, src[i])) {
-        stop = true;
-        break;
-      }
-    }
-    if (pin) cache_->release(pin);
-    if (stop) return false;
-    pos += n;
-    left -= n;
+  static bool reads_charged() {
+    const pmem::LatencyConfig& c = pmem::latency_model().config();
+    return c.enabled && c.read_ns_per_line != 0;
   }
-  return true;
-}
+
+  // Emit frozen chronological slots [from, limit) of v (tombstone bits
+  // intact, early exit via emit_stop). The per-vertex slot sequence is
+  // append-only across structural ops (splices preserve chronological
+  // order), so a [d_old, d_new) suffix read is exact.
+  template <typename F>
+  DGAP_ALWAYS_INLINE void read_range(NodeId v, std::uint32_t from,
+                                     std::uint32_t limit, F&& emit);
+  // Emit `count` frozen array slots starting at position `first`. Returns
+  // false when the emitter stopped early.
+  template <typename F>
+  DGAP_ALWAYS_INLINE bool emit_run_frozen(std::uint64_t first,
+                                          std::uint32_t count, F&& emit);
+  // The out-of-line halves of the two above: the tiered / charged array
+  // run, and the edge-log chain past the array run.
+  template <typename F>
+  DGAP_NOINLINE bool emit_run_tiered(std::uint64_t first,
+                                     std::uint32_t count, F&& emit);
+  template <typename F>
+  DGAP_NOINLINE void emit_elog_chain(std::uint64_t start,
+                                     std::uint32_t head_p1,
+                                     std::uint32_t skip,
+                                     std::uint32_t remaining, F&& emit);
+
+  const DgapStore& store_;
+  const std::uint32_t* degree_;
+  const std::uint8_t* tomb_;
+  DgapStore::ReaderLane lane_;
+  const bool plain_;  // no tier and no read charge: straight slot loop
+  std::vector<Slot> chain_;       // elog chain scratch, newest first
+  std::vector<Slot> cold_image_;  // cold-section file staging
+};
+
+inline Snapshot::Reader Snapshot::reader() const { return Reader(*this); }
 
 template <typename F>
-void Snapshot::for_each_out(NodeId v, F&& fn) const {
-  check_open();
-  const auto limit = degree_[v];
+void Snapshot::Reader::for_each_out(NodeId v, F&& fn) {
+  const std::uint32_t limit = degree_[v];
   if (limit == 0) return;
   if (DGAP_UNLIKELY(tomb_[v] != 0)) {
     // Exact tombstone cancellation (rare path: this vertex saw deletions).
@@ -810,19 +784,180 @@ void Snapshot::for_each_out(NodeId v, F&& fn) const {
   }
   // No tombstones on this vertex at the cut: every emitted slot is a live
   // edge, decode destinations straight through.
-  store_->read_frozen(
-      v, limit, [&](Slot s) { return emit_stop(fn, edge_dst(s)); });
+  read_range(v, 0, limit,
+             [&](Slot s) { return emit_stop(fn, edge_dst(s)); });
+}
+
+template <typename F>
+void Snapshot::Reader::for_each_slot_from(NodeId v, std::uint32_t from,
+                                          F&& fn) {
+  const std::uint32_t limit = degree_[v];
+  if (limit <= from) return;
+  read_range(v, from, limit, [&](Slot s) {
+    return emit_stop(fn, edge_dst(s), edge_tombstone(s));
+  });
+}
+
+// Correctness without section locks: while the reader gate is held no
+// structural op can move data, and plain writers only ever (a) write a
+// fresh slot then release-publish arr_count, (b) store an elog entry then
+// release-publish el_head_p1 (publish_u32/acquire_u32), so an acquired
+// count/head never indexes unpublished data — it can only UNDER-read the
+// live state, and the frozen `limit` caps everything at the snapshot's cut.
+template <typename F>
+void Snapshot::Reader::read_range(NodeId v, std::uint32_t from,
+                                  std::uint32_t limit, F&& emit) {
+  lane_.admit(v);
+  const DgapStore& s = store_;
+  const DgapStore::VertexEntry& ent = s.entries_[v];
+  // Acquire the published count BEFORE touching slots: pairs with the
+  // writer's release in publish_u32, so every slot under arr_count is
+  // fully stored by the time we index it (free on x86). `start` is plain:
+  // it changes only under the structural gate, and a windowed rebalance
+  // rewrites starts only for in-window vertices — which this reader, if
+  // admitted past an announced window, is not (reader_lane_enter probed
+  // the same field atomically to decide).
+  const std::uint32_t arr_count = DgapStore::acquire_u32(ent.arr_count);
+  const std::uint64_t start = ent.start;
+  const std::uint32_t arr_take = std::min<std::uint32_t>(limit, arr_count);
+  if (DGAP_UNLIKELY(start + 1 + arr_take > s.capacity_)) return;
+  if (from < arr_take &&
+      !emit_run_frozen(start + 1 + from, arr_take - from, emit))
+    return;
+  if (DGAP_LIKELY(limit == arr_take)) return;
+  const std::uint32_t head_p1 = DgapStore::acquire_u32(ent.el_head_p1);
+  if (head_p1 == 0) return;
+  emit_elog_chain(start, head_p1, from > arr_take ? from - arr_take : 0,
+                  limit - arr_take, emit);
+}
+
+template <typename F>
+bool Snapshot::Reader::emit_run_frozen(std::uint64_t first,
+                                       std::uint32_t count, F&& emit) {
+  if (DGAP_UNLIKELY(!plain_)) return emit_run_tiered(first, count, emit);
+  const Slot* src = store_.slots_ + first;
+  for (std::uint32_t i = 0; i < count; ++i)
+    if (emit_stop(emit, src[i])) return false;
+  return true;
+}
+
+template <typename F>
+void Snapshot::Reader::emit_elog_chain(std::uint64_t start,
+                                       std::uint32_t head_p1,
+                                       std::uint32_t skip,
+                                       std::uint32_t remaining, F&& emit) {
+  const DgapStore& s = store_;
+  // Walk the back-pointer chain (newest first) into a FIFO buffer, then
+  // emit the oldest `remaining` entries in chronological order (paper
+  // §3.1.3's FIFO buffer of size rest_t(v)). The walk runs the FULL chain,
+  // not the first el_count hops: the racy entry copy can pair a stale
+  // el_count with a newer head (a concurrent append publishes count before
+  // head), and a count-bounded walk from a newer head would collect the
+  // newest entries instead of the oldest. The chain's oldest entries are
+  // immutable, so taking `remaining` from the back is exact for the frozen
+  // cut regardless of how many newer entries the head has grown.
+  // Back-pointers strictly decrease (an entry chains to an earlier index),
+  // so the walk terminates.
+  const ElogEntry* log = s.elog(s.sec_of(start));
+  chain_.clear();
+  std::uint32_t idx_p1 = head_p1;
+  while (idx_p1 != 0 && idx_p1 <= s.elog_entries_) {
+    // Elog entries are never tiered into DRAM (they churn by design), so
+    // each chain hop is a charged pmem read.
+    if (!plain_) pmem::latency_model().on_read(log + (idx_p1 - 1), 1);
+    const ElogEntry entry = log[idx_p1 - 1];
+    chain_.push_back(encode_edge(elog_dst(entry), elog_tombstone(entry)));
+    if (entry.prev_p1 >= idx_p1) break;  // corrupt chain: stop short
+    idx_p1 = entry.prev_p1;
+  }
+  if (remaining > chain_.size())
+    remaining = static_cast<std::uint32_t>(chain_.size());
+  for (std::uint32_t i = skip; i < remaining; ++i)
+    if (emit_stop(emit, chain_[chain_.size() - 1 - i])) return;
+}
+
+// Tiered or read-charged array-run emission (emit_run_frozen's other
+// branch): section piece by section piece with the tiers interposed.
+// Correctness of serving a DRAM frame instead of pmem: a frame
+// is only (a) populated under the section's writer lock — so the copy
+// can't miss an append it races with — and (b) kept in sync by writers
+// mirroring every slot store under that same lock BEFORE release-publishing
+// arr_count. The acquire of arr_count in read_range therefore covers the
+// frame copy exactly as it covers the pmem slots; structural moves
+// invalidate frames under the structural gate before any reader can
+// re-enter. Misses fall back to the latency-charged pmem read, so
+// cache-off and cache-on runs are comparable.
+template <typename F>
+bool Snapshot::Reader::emit_run_tiered(std::uint64_t first,
+                                       std::uint32_t count, F&& emit) {
+  const DgapStore& s = store_;
+  std::uint64_t pos = first;
+  std::uint32_t left = count;
+  while (left > 0) {
+    const std::uint64_t sec = s.sec_of(pos);
+    const std::uint64_t sec_base = sec << s.seg_shift_;
+    const auto n = static_cast<std::uint32_t>(
+        std::min<std::uint64_t>(left, sec_base + s.seg_slots_ - pos));
+    const Slot* src = nullptr;
+    tier::SectionCache::PinHold pin;
+    if (DGAP_UNLIKELY(s.cold_ != nullptr)) {
+      // Feed the placement EWMA first so a section being read stops looking
+      // demotable, then serve straight from the file buffer if it is cold
+      // (an async promotion is scheduled inside; this read never waits on
+      // it). The residency probe happens AFTER read_range acquired
+      // arr_count — the ordering the cold-read correctness argument in
+      // cold_ops.cpp depends on.
+      s.cold_->note_read(sec);
+      if (s.cold_read_if_cold(sec, cold_image_))
+        src = cold_image_.data() + (pos - sec_base);
+    }
+    if (src == nullptr && DGAP_UNLIKELY(s.cache_ != nullptr)) {
+      tier::SectionCache& cache = *s.cache_;
+      pin.reset(&cache, cache.acquire(sec));
+      if (!pin) {
+        if (DGAP_UNLIKELY(tier::streaming_reads_active())) {
+          // Single-pass kernel (BFS/BC) declared itself streaming: serve
+          // the bulk read below without admitting a frame. Populating for
+          // a read that revisits each section ~2-3 times costs about what
+          // it saves, so the bypass keeps single-pass kernels at cache-off
+          // speed while hits still hit above.
+          cache.note_stream_bypass();
+        } else if (cache.should_admit(sec)) {
+          // Populate needs the section's writer lock to exclude appenders
+          // for the copy window — but never block for it inside a reader
+          // lane (a structural op may hold the lock while draining the
+          // lanes we sit in). try_lock keeps the miss path deadlock-free.
+          if (s.sections_[sec].lock.try_lock()) {
+            pin.reset(&cache, cache.populate(sec, s.slots_ + sec_base));
+            s.sections_[sec].lock.unlock_no_pending();
+          }
+        }
+      }
+      if (pin) src = pin.data() + (pos - sec_base);
+    }
+    if (src == nullptr) {
+      pmem::latency_model().on_read(
+          s.slots_ + pos,
+          (n * sizeof(Slot) + kCacheLineSize - 1) / kCacheLineSize);
+      src = s.slots_ + pos;
+    }
+    for (std::uint32_t i = 0; i < n; ++i)
+      if (emit_stop(emit, src[i])) return false;
+    pos += n;
+    left -= n;
+  }
+  return true;
+}
+
+template <typename F>
+void Snapshot::for_each_out(NodeId v, F&& fn) const {
+  Reader(*this).for_each_out(v, std::forward<F>(fn));
 }
 
 template <typename F>
 void Snapshot::for_each_slot_from(NodeId v, std::uint32_t from,
                                   F&& fn) const {
-  check_open();
-  const std::uint32_t limit = degree_[v];
-  if (limit <= from) return;
-  store_->read_frozen_range(v, from, limit, [&](Slot s) {
-    return emit_stop(fn, edge_dst(s), edge_tombstone(s));
-  });
+  Reader(*this).for_each_slot_from(v, from, std::forward<F>(fn));
 }
 
 }  // namespace dgap::core

@@ -43,8 +43,8 @@ struct DgapRoot {
   std::uint32_t flags;            // low byte: IngestProfile (options.hpp);
                                   // geometry is durable, so open() adopts
                                   // this over the caller's requested profile
-  std::uint64_t shutdown_image_off;  // 0 = none / stale
-  std::uint64_t shutdown_image_bytes;
+  std::uint64_t shutdown_image_off;  // valid image; 0 = none / stale
+  std::uint64_t shutdown_image_bytes;  // capacity of shutdown_image_block
   std::uint64_t tx_anchor_off;  // PmemTx journal anchor (ablation mode)
   // Shard identity when this store is one shard of a ShardedStore
   // (sharded_store.hpp); shard_count == 0 means unsharded. Persisted at
@@ -54,14 +54,18 @@ struct DgapRoot {
   std::uint32_t shard_count;
   std::uint32_t shard_shift;
   std::uint32_t shard_reserved;
+  // The block the shutdown image is written into, kept across open and
+  // recovery (which only zero shutdown_image_off) so every shutdown reuses
+  // it instead of allocating a new one. 0 = not allocated yet.
+  std::uint64_t shutdown_image_block;
 };
 
-// Root magic doubles as the format version: "DGAPSTO3" — bumped from
-// "DGAPSTO2" when the cold-tier residency map grew DgapLayout (and from
-// "DGAPSTOR" before that, when the shard-identity fields grew DgapRoot),
-// so a pool written by an old layout is rejected at open instead of
-// misread.
-inline constexpr std::uint64_t kDgapMagic = 0x4447'4150'5354'4f33ULL;
+// Root magic doubles as the format version: "DGAPSTO4" — bumped from
+// "DGAPSTO3" when DgapRoot grew shutdown_image_block (from "DGAPSTO2" when
+// the cold-tier residency map grew DgapLayout, and from "DGAPSTOR" before
+// that, when the shard-identity fields grew DgapRoot), so a pool written
+// by an old layout is rejected at open instead of misread.
+inline constexpr std::uint64_t kDgapMagic = 0x4447'4150'5354'4f34ULL;
 
 // Residency-word helpers (DgapLayout::residency_off).
 inline constexpr std::uint64_t kResidencyColdBit = 1ull << 63;

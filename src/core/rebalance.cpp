@@ -49,9 +49,10 @@ namespace dgap::core {
 
 bool DgapStore::rebalance_needed(std::uint64_t seg) const {
   if (seg >= num_segments_) return false;
-  const SectionMeta& sm = sections_[seg];
-  if (sm.elog_raw >= elog_entries_) return true;
-  return static_cast<double>(sm.elog_raw) >=
+  // No section lock here: a writer may be appending to this log.
+  const std::uint32_t raw = relaxed_u32(sections_[seg].elog_raw);
+  if (raw >= elog_entries_) return true;
+  return static_cast<double>(raw) >=
          opts_.elog_merge_fill * static_cast<double>(elog_entries_);
 }
 
@@ -418,13 +419,13 @@ void DgapStore::rebalance_window_locked(std::uint64_t begin_seg,
     std::atomic_ref<std::uint64_t>(e.start).store(plan[i].new_start,
                                                   std::memory_order_relaxed);
     publish_u32(e.arr_count, runs[i].arr_count + runs[i].el_count);
-    e.el_count = 0;
+    store_u32_relaxed(e.el_count, 0);  // raced by insert_internal's probe
     publish_u32(e.el_head_p1, 0);
     if (!opts_.metadata_in_dram) mirror_vertex(plan[i].vertex);
   }
   for (std::uint64_t s = begin_seg; s < end_seg; ++s) {
     tree_->set_count(s, 0);
-    sections_[s].elog_raw = 0;
+    store_u32_relaxed(sections_[s].elog_raw, 0);
     sections_[s].elog_live = 0;
   }
   for (const auto& p : plan) {

@@ -300,10 +300,20 @@ void DgapStore::persist_shutdown_image() {
   const std::uint64_t bytes = sizeof(ImageHeader) + nv * sizeof(PackedEntry) +
                               num_segments_ * sizeof(PackedSection);
 
-  // Reuse the previous image block when it is big enough.
-  std::uint64_t off = root_->shutdown_image_off;
+  // Never rewrite a block that still reads as a valid image: a crash
+  // mid-write would leave a torn image behind a live offset.
+  if (root_->shutdown_image_off != 0)
+    pool_.store_persist(&root_->shutdown_image_off, std::uint64_t{0});
+  // Reuse the image block of earlier shutdowns when it is big enough; open
+  // and recovery only invalidate the image, the block stays ours.
+  std::uint64_t off = root_->shutdown_image_block;
   if (off == 0 || root_->shutdown_image_bytes < bytes) {
+    if (off != 0) pool_.allocator().free(off, root_->shutdown_image_bytes);
     off = pool_.allocator().alloc(bytes);
+    // Block before size: a crash between the two persists can only leak
+    // the new block, never pair the old, smaller block with the new size.
+    pool_.store_persist(&root_->shutdown_image_block, off);
+    pool_.store_persist(&root_->shutdown_image_bytes, bytes);
   }
 
   char* base = pool_.at<char>(off);
@@ -324,11 +334,7 @@ void DgapStore::persist_shutdown_image() {
     ps[s] = {sections_[s].elog_raw, sections_[s].elog_live};
   pool_.persist(base, bytes);
 
-  root_->shutdown_image_off = off;
-  root_->shutdown_image_bytes = std::max(root_->shutdown_image_bytes, bytes);
-  pool_.persist(&root_->shutdown_image_off,
-                sizeof(root_->shutdown_image_off) +
-                    sizeof(root_->shutdown_image_bytes));
+  pool_.store_persist(&root_->shutdown_image_off, off);
 }
 
 bool DgapStore::load_shutdown_image() {

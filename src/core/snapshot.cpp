@@ -8,12 +8,10 @@
 
 namespace dgap::core {
 
-void Snapshot::check_open() const {
+void Snapshot::throw_not_open() const {
   if (ctl_ == nullptr)
     throw std::logic_error("Snapshot: empty (default-constructed/moved-from)");
-  if (ctl_->closed.load(std::memory_order_acquire))
-    throw std::logic_error(
-        "Snapshot: used after its DgapStore was destroyed");
+  throw std::logic_error("Snapshot: used after its DgapStore was destroyed");
 }
 
 void Snapshot::release() {
@@ -35,14 +33,17 @@ void Snapshot::release() {
 }
 
 std::vector<NodeId> Snapshot::neighbors(NodeId v) const {
-  check_open();
+  return Reader(*this).neighbors(v);
+}
+
+std::vector<NodeId> Snapshot::Reader::neighbors(NodeId v) {
   std::vector<NodeId> out;
-  const auto limit = degree_[v];
+  const std::uint32_t limit = degree_[v];
   if (limit == 0) return out;
   out.reserve(limit);
   std::vector<Slot> raw;
   raw.reserve(limit);
-  store_->read_frozen(v, limit, [&](Slot s) { raw.push_back(s); });
+  read_range(v, 0, limit, [&](Slot s) { raw.push_back(s); });
   // A tombstone cancels the latest prior un-cancelled instance of the same
   // destination (deletion always follows its insertion chronologically).
   std::vector<bool> cancelled(raw.size(), false);

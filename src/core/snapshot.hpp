@@ -27,10 +27,13 @@
 // past the frozen prefix (a vertex's first k edges never change outside
 // structural ops), so per-vertex reads emit directly from the arrays with
 // no section locks. Readers synchronize only with STRUCTURAL ops
-// (rebalance / resize / ablation shift) through a striped reader gate held
-// per read — microseconds, never for a snapshot's lifetime — so a held
+// (rebalance / resize / ablation shift) through a striped reader gate. A
+// Snapshot::Reader (dgap_store.hpp) holds one gate lane across a run of
+// vertex reads — a kernel takes one per block of vertices — and checks for
+// an announced structural op once per vertex, backing out at once when one
+// is announced. The lane is never held for a snapshot's lifetime, so a held
 // snapshot blocks nothing, and a structural op waits at most one in-flight
-// vertex read.
+// vertex read plus the reader's own work up to its next vertex.
 #pragma once
 
 #include <algorithm>
@@ -39,6 +42,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/algorithms/graph_view.hpp"
 #include "src/common/platform.hpp"
 #include "src/common/spinlock.hpp"
 #include "src/core/encoding.hpp"
@@ -125,9 +129,17 @@ class Snapshot {
   [[nodiscard]] std::int64_t out_degree(NodeId v) const { return degree_[v]; }
   [[nodiscard]] std::uint64_t num_edges_directed() const { return total_; }
 
+  // Block read handle (defined in dgap_store.hpp): holds one reader-gate
+  // lane across consecutive vertex reads. One per thread and per block of
+  // reads; see the class comment for what must not happen while one lives.
+  class Reader;
+  [[nodiscard]] Reader reader() const;
+
   // Stream v's neighbors (tombstones skipped; with deletions present the
   // snapshot transparently falls back to the exact cancelling path).
   // Thread-safe: analysis kernels fan one snapshot out across OMP threads.
+  // A one-vertex Reader; kernels scanning many vertices take a reader()
+  // per block instead.
   template <typename F>
   void for_each_out(NodeId v, F&& fn) const;
 
@@ -177,7 +189,12 @@ class Snapshot {
   }
   // Throws std::logic_error when the backing store is gone (or this is a
   // default-constructed snapshot with no store at all).
-  void check_open() const;
+  void check_open() const {
+    if (DGAP_UNLIKELY(ctl_ == nullptr ||
+                      ctl_->closed.load(std::memory_order_acquire)))
+      throw_not_open();
+  }
+  [[noreturn]] void throw_not_open() const;
 
   const DgapStore* store_ = nullptr;
   std::shared_ptr<StoreCtl> ctl_;
@@ -248,12 +265,13 @@ class SnapshotCsr {
         n, 1024, std::uint64_t{0},
         [&](std::int64_t b, std::int64_t e) {
           std::uint64_t part = 0;
+          auto&& rd = algorithms::block_reader(view);
           for (NodeId v = b; v < e; ++v) {
             const std::int64_t d = view.out_degree(v);
             csr.slot_degree_[v] = static_cast<std::uint32_t>(d);
             part += static_cast<std::uint64_t>(d);
             std::uint64_t emitted = 0;
-            view.for_each_out(v, [&](NodeId) { ++emitted; });
+            rd.for_each_out(v, [&](NodeId) { ++emitted; });
             csr.offsets_[static_cast<std::size_t>(v) + 1] = emitted;
           }
           return part;
@@ -264,9 +282,10 @@ class SnapshotCsr {
           csr.offsets_[static_cast<std::size_t>(v)];
     csr.nbrs_.resize(csr.offsets_[static_cast<std::size_t>(n)]);
     par::for_blocks(n, 1024, [&](std::int64_t b, std::int64_t e) {
+      auto&& rd = algorithms::block_reader(view);
       for (NodeId v = b; v < e; ++v) {
         std::uint64_t at = csr.offsets_[v];
-        view.for_each_out(v, [&](NodeId d) { csr.nbrs_[at++] = d; });
+        rd.for_each_out(v, [&](NodeId d) { csr.nbrs_[at++] = d; });
       }
     });
     return csr;
@@ -298,16 +317,19 @@ class SnapshotCsr {
       std::int64_t b = 0;
       std::int64_t e = 0;
       while (src.next(b, e)) {
-        for (NodeId v = b; v < e; ++v) {
-          const std::int64_t d = view.out_degree(v);
-          csr.slot_degree_[v] = static_cast<std::uint32_t>(d);
-          slots += static_cast<std::uint64_t>(d);
-          std::uint32_t seq = 0;
-          view.for_each_out(v, [&](NodeId dst) {
-            buf.push_back(Rec{v, seq++, dst});
-          });
-          csr.offsets_[static_cast<std::size_t>(v) + 1] = seq;
-        }
+        {
+          auto&& rd = algorithms::block_reader(view);
+          for (NodeId v = b; v < e; ++v) {
+            const std::int64_t d = view.out_degree(v);
+            csr.slot_degree_[v] = static_cast<std::uint32_t>(d);
+            slots += static_cast<std::uint64_t>(d);
+            std::uint32_t seq = 0;
+            rd.for_each_out(v, [&](NodeId dst) {
+              buf.push_back(Rec{v, seq++, dst});
+            });
+            csr.offsets_[static_cast<std::size_t>(v) + 1] = seq;
+          }
+        }  // the block's reader is dropped before the assist point
         par::assist_point();
       }
       slot_parts[static_cast<std::size_t>(tid)] = slots;

@@ -33,6 +33,9 @@ SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
 
   const NodeId n_old = d.nodes_before;
   const NodeId n_new = d.nodes_after;
+  // One reader lane across the whole walk: the loop below neither writes
+  // the store nor waits on the scheduler.
+  Snapshot::Reader rd(newer);
 
   auto emit_vertex = [&](NodeId v, std::uint32_t d_old) {
     ++d.scanned_vertices;
@@ -42,7 +45,7 @@ SnapshotDelta snapshot_delta(const Snapshot& older, const Snapshot& newer) {
     d.changed_old_degree.push_back(d_old);
     // The newer cut's slot suffix [d_old, d_new) is the event stream for
     // this vertex, in chronological order.
-    newer.for_each_slot_from(v, d_old, [&](NodeId dst, bool tomb) {
+    rd.for_each_slot_from(v, d_old, [&](NodeId dst, bool tomb) {
       if (tomb)
         d.deleted.push_back({v, dst});
       else

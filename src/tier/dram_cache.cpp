@@ -173,6 +173,13 @@ void SectionCache::release(const Pin& p) {
   frames_[p.frame_p1 - 1].readers.fetch_sub(1, std::memory_order_release);
 }
 
+std::uint64_t SectionCache::pinned_frames() const {
+  std::uint64_t pinned = 0;
+  for (std::uint32_t f = 0; f < num_frames_; ++f)
+    pinned += frames_[f].readers.load(std::memory_order_acquire);
+  return pinned;
+}
+
 void SectionCache::lru_unlink_locked(std::uint32_t f) {
   Frame& fr = frames_[f];
   if (fr.prev != kNil)

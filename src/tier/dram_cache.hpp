@@ -114,6 +114,36 @@ class SectionCache {
   Pin acquire(std::uint64_t sec);
   void release(const Pin& p);
 
+  // Scoped pin: releases on scope exit, so a reader whose emit callback
+  // throws cannot leave a frame pinned (invalidate() would spin on it).
+  class PinHold {
+   public:
+    PinHold() = default;
+    ~PinHold() { reset(); }
+    PinHold(const PinHold&) = delete;
+    PinHold& operator=(const PinHold&) = delete;
+    // Drop the held pin (if any) and take over `p` from `cache`.
+    void reset(SectionCache* cache, Pin p) {
+      reset();
+      cache_ = cache;
+      pin_ = p;
+    }
+    void reset() {
+      if (pin_) cache_->release(pin_);
+      pin_ = Pin{};
+    }
+    [[nodiscard]] const core::Slot* data() const { return pin_.data; }
+    explicit operator bool() const { return static_cast<bool>(pin_); }
+
+   private:
+    SectionCache* cache_ = nullptr;
+    Pin pin_;
+  };
+
+  // Frames currently pinned by readers, summed (tests: a reader that threw
+  // must leave none behind).
+  [[nodiscard]] std::uint64_t pinned_frames() const;
+
   // Placement decision for a miss: false when the section's churn EWMA
   // dominates its read EWMA (write-hot section — caching it would thrash).
   [[nodiscard]] bool should_admit(std::uint64_t sec);

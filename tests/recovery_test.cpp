@@ -11,6 +11,7 @@
 #include "src/core/dgap_store.hpp"
 #include "src/graph/adj_graph.hpp"
 #include "src/graph/generators.hpp"
+#include "src/pmem/alloc.hpp"
 
 namespace dgap::core {
 namespace {
@@ -94,6 +95,44 @@ TEST(Recovery, RepeatedShutdownCyclesReuseImageBlock) {
     expect_equal(*store, oracle);
     store->shutdown();
   }
+  std::filesystem::remove(path);
+}
+
+TEST(Recovery, ShutdownImageBlockKeptAcrossOpen) {
+  // open() invalidates the image (a crash after it must not resurrect a
+  // stale one) but keeps its block, so every later shutdown rewrites that
+  // block: restarts do not grow the pool. A crashed generation in the
+  // middle takes the scan path and must keep the block too.
+  const std::string path = temp_pool("imgblock");
+  std::filesystem::remove(path);
+  AdjGraph oracle(48);
+  {
+    auto pool = PmemPool::create({.path = path, .size = 64 << 20});
+    auto store = DgapStore::create(*pool, small_opts());
+    const auto stream = generate_uniform(48, 300, 7);
+    for (const Edge& e : stream.edges()) {
+      store->insert_edge(e.src, e.dst);
+      oracle.add_edge(e.src, e.dst);
+    }
+    store->shutdown();
+  }
+  std::uint64_t first = 0;
+  for (int cycle = 0; cycle < 20; ++cycle) {
+    auto pool = PmemPool::open({.path = path});
+    auto store = DgapStore::open(*pool, small_opts());
+    if (cycle == 10) continue;  // no shutdown: the next open recovers
+    store->shutdown();
+    const std::uint64_t used = pool->allocator().used_bytes();
+    if (cycle == 0)
+      first = used;
+    else
+      ASSERT_EQ(used, first) << "pool grew at cycle " << cycle;
+  }
+  auto pool = PmemPool::open({.path = path});
+  auto store = DgapStore::open(*pool, small_opts());
+  expect_equal(*store, oracle);
+  store.reset();
+  pool.reset();
   std::filesystem::remove(path);
 }
 

@@ -9,17 +9,32 @@
 //     snapshot referencing them is destroyed (epoch reclamation);
 //   * use-after-close fails fast (std::logic_error) instead of UAF;
 //   * lock-free snapshot reads stay exact through a resize/rebalance storm
-//     driven from multiple writer threads.
+//     driven from multiple writer threads;
+//   * a read whose callback throws releases its reader-gate lane and DRAM
+//     frame pin, so the next structural op still drains;
+//   * block readers (Snapshot::Reader) that hold a lane across vertices
+//     back off when structural ops are announced, and kernels reading
+//     through them stay exact under a hub-vertex write flood.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
+#include <mutex>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
+#include "src/algorithms/bfs.hpp"
+#include "src/algorithms/cc.hpp"
+#include "src/algorithms/pagerank.hpp"
 #include "src/core/dgap_store.hpp"
 #include "src/graph/generators.hpp"
+#include "src/sched/parallel.hpp"
 
 namespace dgap::core {
 namespace {
@@ -180,6 +195,131 @@ TEST(SnapshotConcurrency, ParallelFrozenReadersThroughResizeStorm) {
   for (auto& t : readers) t.join();
   EXPECT_GT(sweeps.load(), 0u);
   EXPECT_GT(store->stats().resizes, 0u);
+  std::string why;
+  EXPECT_TRUE(store->check_invariants(&why)) << why;
+}
+
+TEST(SnapshotConcurrency, ThrowingCallbackReleasesLaneAndPin) {
+  auto pool = PmemPool::create({.path = "", .size = 64 << 20});
+  DgapOptions o = tiny_opts();
+  o.dram_cache_bytes = 1 << 20;  // every section fits: reads pin frames
+  auto store = DgapStore::create(*pool, o);
+  for (NodeId v = 0; v < 64; ++v)
+    for (NodeId k = 1; k <= 3; ++k) store->insert_edge(v, (v + k) % 64);
+  const Snapshot snap = store->consistent_view();
+  // Warm the DRAM tier so the throwing reads below are served from pinned
+  // frames.
+  for (int pass = 0; pass < 3; ++pass) (void)freeze_contents(snap);
+  const std::uint64_t hits_before = store->cache_stats().hits;
+
+  struct Boom {};
+  const auto boom = [](auto&&...) -> bool { throw Boom{}; };
+  EXPECT_THROW(snap.for_each_out(5, boom), Boom);
+  EXPECT_THROW(snap.for_each_slot_from(6, 0, boom), Boom);
+  EXPECT_THROW(
+      {
+        Snapshot::Reader rd = snap.reader();
+        rd.for_each_out(7, [](NodeId) {});
+        rd.for_each_out(8, boom);
+      },
+      Boom);
+  EXPECT_GT(store->cache_stats().hits, hits_before);
+  // Fail here rather than hang below: a leaked lane makes every later
+  // structural op drain forever, a leaked pin stalls frame invalidation.
+  ASSERT_EQ(store->debug_reader_lanes_held(), 0);
+  ASSERT_EQ(store->debug_cache_pins(), 0u);
+
+  const std::uint64_t resizes_before = store->stats().resizes;
+  const auto stream = generate_uniform(512, 30000, 17);
+  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
+  EXPECT_GT(store->stats().resizes, resizes_before);
+  EXPECT_EQ(snap.neighbors(5), (std::vector<NodeId>{6, 7, 8}));
+}
+
+// Aborts the process when the test body outlives `limit`: a reader that
+// fails to back off deadlocks a structural op, and a hang must read as a
+// failure, not as a CI timeout.
+class Watchdog {
+ public:
+  explicit Watchdog(std::chrono::seconds limit)
+      : thread_([this, limit] {
+          std::unique_lock<std::mutex> g(mu_);
+          if (!cv_.wait_for(g, limit, [this] { return done_; })) {
+            std::fprintf(stderr, "watchdog: test exceeded %llds\n",
+                         static_cast<long long>(limit.count()));
+            std::abort();
+          }
+        }) {}
+  ~Watchdog() {
+    {
+      std::lock_guard<std::mutex> g(mu_);
+      done_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool done_ = false;
+  std::thread thread_;
+};
+
+TEST(SnapshotConcurrency, BlockReadersBackOffUnderHubFlood) {
+  const Watchdog dog(std::chrono::seconds(240));
+  auto pool = PmemPool::create({.path = "", .size = 256 << 20});
+  DgapOptions o = tiny_opts();
+  o.init_vertices = 256;
+  o.max_writer_threads = 8;
+  auto store = DgapStore::create(*pool, o);
+  const auto base = symmetrize(generate_rmat(256, 1500, 21));
+  for (const Edge& e : base.edges()) store->insert_edge(e.src, e.dst);
+
+  const Snapshot snap = store->consistent_view();
+  const par::ScopedKernelThreads one(1);  // each analysis thread reads alone
+  const NodeId source = algorithms::max_degree_vertex(snap);
+  // The cut's answers, read before any writer runs.
+  const auto want_pr = algorithms::pagerank(snap);
+  const auto want_cc = algorithms::connected_components(snap);
+  const auto want_bfs = algorithms::bfs(snap, source);
+
+  const std::uint64_t rebalances_before = store->stats().rebalances;
+  const std::uint64_t resizes_before = store->stats().resizes;
+  const std::uint64_t retries_before = store->stats().snapshot_read_retries;
+  std::atomic<bool> writers_done{false};
+  std::vector<std::thread> analysts;
+  for (int a = 0; a < 2; ++a) {
+    analysts.emplace_back([&] {
+      int rounds = 0;
+      while (!writers_done.load(std::memory_order_acquire) || rounds == 0) {
+        EXPECT_EQ(algorithms::pagerank(snap), want_pr);
+        EXPECT_EQ(algorithms::connected_components(snap), want_cc);
+        EXPECT_EQ(algorithms::bfs(snap, source), want_bfs);
+        ++rounds;
+      }
+    });
+  }
+  // Two writers pile edges onto eight hub vertices (window rebalances
+  // around the hubs) with destinations spread over fresh ids (table growth
+  // and whole-array resizes).
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      const auto stream = generate_uniform(4096, 4000, 300 + w);
+      for (const Edge& e : stream.edges())
+        store->insert_edge(e.src % 8, e.dst);
+    });
+  }
+  for (auto& t : writers) t.join();
+  writers_done.store(true, std::memory_order_release);
+  for (auto& t : analysts) t.join();
+
+  EXPECT_GT(store->stats().rebalances, rebalances_before);
+  EXPECT_GT(store->stats().resizes, resizes_before);
+  EXPECT_GT(store->stats().snapshot_read_retries, retries_before)
+      << "no held reader lane ever backed off for a structural op";
+  EXPECT_EQ(store->debug_reader_lanes_held(), 0);
   std::string why;
   EXPECT_TRUE(store->check_invariants(&why)) << why;
 }
