@@ -5,9 +5,13 @@
 // BAL / LLAMA / XPGraph on these whole-graph kernels, and usually ahead of
 // GraphOne-FD despite GraphOne analyzing from DRAM, because the mutable
 // CSR keeps cache locality that an adjacency list lacks. Measured here
-// (single shot, one thread, scales 0.1 and 0.5 on a 4-thread x86 VM, five
-// runs): DGAP PR 1.5-1.6x of CSR on citpatents and 1.7-2.2x on orkut, CC
-// 1.2-1.9x on both; single-shot ratios move by up to ~20% run to run.
+// (single shot, one thread, scales 0.1 and 0.5 on a 4-thread x86 VM,
+// medians of five runs): DGAP PR 1.64-1.75x of CSR on citpatents and
+// 1.49-1.58x on orkut, CC 1.35-1.47x on citpatents and 1.27-1.86x on
+// orkut; single-shot ratios move by up to ~20% run to run. Both columns
+// run the same pagerank(), so a saving inside the kernel shrinks the CSR
+// baseline too; README "Reproduction notes" has the ratios against a
+// fixed reference kernel.
 // --shards=a,b adds a sharded-DGAP section: the same kernels run over the
 // composed per-shard snapshots (ShardedSnapshot), demonstrating that
 // analysis is not regressed by partitioning ingestion.

@@ -136,9 +136,12 @@ int main(int argc, char** argv) {
   options.init_vertices = cells;
   options.init_edges = num_events;
   options.ingest_profile = profile;
-  // Only the absorber threads write the store (+1 slack for recovery paths
-  // driven from the main thread).
-  options.max_writer_threads = static_cast<std::uint32_t>(absorbers + 1);
+  // writer_slot() binds an undo-log slot to every distinct thread that
+  // ever rebalances. Absorber tasks run on whichever scheduler worker is
+  // free, and the main thread runs tasks while it drains: size for every
+  // worker, the main thread and one slack.
+  options.max_writer_threads = static_cast<std::uint32_t>(
+      sched::TaskScheduler::global().num_workers() + 2);
   auto graph = core::DgapStore::create(*pool, options);
 
   ingest::AsyncIngestor::Options iopts;

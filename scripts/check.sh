@@ -8,44 +8,56 @@ cmake -B build -S .
 cmake --build build -j"$(nproc)"
 ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
 
+# Every smoke below runs under a time limit: a hang fails this step within
+# minutes and names the command, instead of using up the CI job's limit.
+SMOKE_TIMEOUT=300
+smoke() {
+  local rc=0
+  timeout -k 10 "$SMOKE_TIMEOUT" "$@" || rc=$?
+  if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+    echo "check.sh: timed out after ${SMOKE_TIMEOUT}s: $*" >&2
+  fi
+  return "$rc"
+}
+
 # Smoke-run the quickstart example end to end (pool create -> batch insert
 # -> snapshot analysis -> shutdown -> reopen).
-./build/quickstart --pool /tmp/dgap_check_quickstart.pool
+smoke ./build/quickstart --pool /tmp/dgap_check_quickstart.pool
 
 # Smoke-run streaming analytics: async ingestion (producers -> staging
 # queues -> absorbers) racing the snapshot-analysis thread.
-./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
+smoke ./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
   --async-writers 2
 
 # Smoke-run a sharded fig6 config: S=2 shards, batched + per-edge paths,
 # sharded-vs-unsharded speedup table included.
-./build/fig6_insert_throughput --shards=2 --datasets=orkut --scale=0.02 \
+smoke ./build/fig6_insert_throughput --shards=2 --datasets=orkut --scale=0.02 \
   --batch=256 --system=dgap --pool-mb=256
 
 # Smoke-run the task scheduler end to end: a 2-worker pool sized via
 # --threads, absorbers running as scheduler tasks, and the analysis
 # kernels on the sched execution path (--sched) instead of OpenMP.
-./build/fig6_insert_throughput --threads=2 --sched --async-writers=2 \
+smoke ./build/fig6_insert_throughput --threads=2 --sched --async-writers=2 \
   --datasets=orkut --scale=0.02 --batch=256 --system=dgap --pool-mb=256
-./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
+smoke ./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
   --async-writers 2 --threads 2 --sched
 
 # Smoke-run the adaptive ingest tuning path: ingest-heavy section geometry
 # plus arrival-rate absorb autotuning through the async sweep.
-./build/fig6_insert_throughput --ingest-profile=ingest-heavy --autotune \
+smoke ./build/fig6_insert_throughput --ingest-profile=ingest-heavy --autotune \
   --async-writers=1 --datasets=orkut --scale=0.02 --batch=256 \
   --system=dgap --pool-mb=256
-./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
+smoke ./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
   --async-writers 2 --autotune --ingest-profile ingest-heavy
 
 # Smoke-run the snapshot-subsystem bench modes: analysis concurrent with
 # async ingest (--live-ingest) and the CSR materialization cache
 # (--csr-cache, which also verifies cached kernels match uncached exactly).
-./build/fig7_pr_cc --live-ingest --live-producers=2 --datasets=orkut \
+smoke ./build/fig7_pr_cc --live-ingest --live-producers=2 --datasets=orkut \
   --scale=0.02 --system=dgap --pool-mb=256
-./build/fig7_pr_cc --csr-cache --datasets=orkut --scale=0.02 \
+smoke ./build/fig7_pr_cc --csr-cache --datasets=orkut --scale=0.02 \
   --system=dgap --pool-mb=256
-./build/fig8_bfs_bc --csr-cache --datasets=orkut --scale=0.02 \
+smoke ./build/fig8_bfs_bc --csr-cache --datasets=orkut --scale=0.02 \
   --system=dgap --pool-mb=256
 
 # Smoke-run incremental analytics: delta-seeded PR/CC rounds racing live
@@ -53,26 +65,26 @@ ctest --test-dir build --output-on-failure -j"$(nproc)" "$@"
 # full kernel, PR within the shared tolerance bound — and the binary exits
 # non-zero on divergence), plus the streaming example's --incremental mode
 # with its final against-full check after the drain.
-./build/fig7_pr_cc --live-ingest --incremental --live-producers=2 \
+smoke ./build/fig7_pr_cc --live-ingest --incremental --live-producers=2 \
   --live-pace-ns=2000 --datasets=orkut --scale=0.02 --system=dgap \
   --pool-mb=256
-./build/streaming_analytics --events 20000 --rounds 3 --producers 2 \
+smoke ./build/streaming_analytics --events 20000 --rounds 3 --producers 2 \
   --async-writers 2 --incremental
 
 # Smoke-run the DRAM hot tier: read-charged kernels, cache-off vs cache-on
 # (the section also verifies cache-on results match cache-off exactly).
-./build/fig7_pr_cc --dram-cache=64 --eviction=clock --datasets=orkut \
+smoke ./build/fig7_pr_cc --dram-cache=64 --eviction=clock --datasets=orkut \
   --scale=0.02 --system=dgap --pool-mb=256
 
 # Smoke-run the SSD cold tier under real capacity pressure: --pool-mb=2 is
 # far below the graph's footprint, so the run only completes if demotion
 # keeps residency within budget while kernels stay bit-identical (the
 # section enforces that and the binary exits non-zero on divergence).
-./build/fig7_pr_cc --cold-tier --datasets=orkut --scale=0.05 \
+smoke ./build/fig7_pr_cc --cold-tier --datasets=orkut --scale=0.05 \
   --system=dgap --pool-mb=2
 # Same run without the tier must fail with the actionable capacity error,
 # not a bare bad_alloc or a crash.
-if OUT=$(./build/fig7_pr_cc --datasets=orkut --scale=0.05 --system=dgap \
+if OUT=$(smoke ./build/fig7_pr_cc --datasets=orkut --scale=0.05 --system=dgap \
     --pool-mb=2 2>&1); then
   echo "check.sh: undersized tier-off run unexpectedly succeeded" >&2
   exit 1
@@ -86,11 +98,11 @@ fi
 # non-empty, parseable JSON (JSON-lines for metrics, chrome://tracing for
 # the trace, Prometheus text for the .prom dump).
 OBS_DIR=$(mktemp -d /tmp/dgap_check_obs.XXXXXX)
-./build/fig6_insert_throughput --datasets=orkut --scale=0.02 --batch=256 \
+smoke ./build/fig6_insert_throughput --datasets=orkut --scale=0.02 --batch=256 \
   --system=dgap --pool-mb=256 \
   --metrics-out="$OBS_DIR/fig6_metrics.jsonl" --metrics-interval-ms=100 \
   --trace-out="$OBS_DIR/fig6_trace.json"
-./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
+smoke ./build/streaming_analytics --events 20000 --rounds 2 --producers 2 \
   --async-writers 2 --metrics-out "$OBS_DIR/sa_metrics.jsonl" \
   --metrics-interval-ms 100 --trace-out "$OBS_DIR/sa_trace.json"
 for f in fig6_metrics.jsonl sa_metrics.jsonl; do
@@ -116,7 +128,12 @@ rm -rf "$OBS_DIR"
 
 # The CLIs must refuse nonsensical knob values instead of misbehaving.
 expect_reject() {
-  if "$@" > /dev/null 2>&1; then
+  local rc=0
+  smoke "$@" > /dev/null 2>&1 || rc=$?
+  if [ "$rc" -eq 124 ] || [ "$rc" -eq 137 ]; then
+    echo "check.sh: timed out after ${SMOKE_TIMEOUT}s: $*" >&2
+    exit 1
+  elif [ "$rc" -eq 0 ]; then
     echo "check.sh: expected rejection: $*" >&2
     exit 1
   fi

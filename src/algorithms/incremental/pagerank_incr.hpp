@@ -14,11 +14,12 @@
 // only coincides with that on a symmetric view (a delete that has absorbed
 // one direction of a pair breaks the coincidence mid-round).
 //
-// Phase 2 (certification): full Jacobi sweeps — bit-identical to the full
-// kernel's iteration — run until one sweep's total L1 change drops below
-// tolerance. This is exactly the full kernel's stopping criterion, so the
-// accuracy contract holds UNCONDITIONALLY, symmetric view or not: both
-// results sit within tolerance/(1-damping) of the same fixpoint, hence
+// Phase 2 (certification): full Jacobi sweeps — pagerank.hpp's own
+// pagerank_sweep, so bit-identical to the full kernel's iteration — run
+// until one sweep's total L1 change drops below tolerance. This is exactly
+// the full kernel's stopping criterion, so the accuracy contract holds
+// UNCONDITIONALLY, symmetric view or not: both results sit within
+// tolerance/(1-damping) of the same fixpoint, hence
 // ||incremental - full||_1 <= 2 * tolerance / (1 - damping). The bench and
 // tests verify that bound every round. Near the seed (small deltas) phase 1
 // leaves the scores almost converged and phase 2 terminates in one or two
@@ -32,13 +33,15 @@
 // vertices arrive on the frontier like any changed vertex.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
 #include "src/algorithms/graph_view.hpp"
 #include "src/algorithms/incremental/frontier.hpp"
+#include "src/algorithms/pagerank.hpp"
 #include "src/core/snapshot_delta.hpp"
-#include "src/sched/parallel.hpp"
 
 namespace dgap::algorithms {
 
@@ -72,44 +75,12 @@ IncrementalPageRankResult incremental_pagerank(
   const double base = (1.0 - params.damping) / nd;
 
   std::vector<double> contrib(static_cast<std::size_t>(n), 0.0);
-  const auto plus = [](double a, double b) { return a + b; };
-  // Full pull iterations (the same update rule, blocks and reduction order
-  // as pagerank.hpp) until one iteration's total L1 change drops below
-  // tolerance: the shared stopping criterion that makes incremental and
-  // full comparable.
+  // Full pull iterations (pagerank.hpp's own sweep) until one iteration's
+  // total L1 change drops below tolerance: the shared stopping criterion
+  // that makes incremental and full comparable.
   const auto sweep_to_tolerance = [&](std::vector<double>& score) {
     for (int s = 0; s < params.max_iterations; ++s) {
-      const double dangling = par::reduce_blocks(
-          n, 2048, 0.0,
-          [&](std::int64_t b, std::int64_t e) {
-            double part = 0.0;
-            for (NodeId v = b; v < e; ++v) {
-              const std::int64_t deg = g.out_degree(v);
-              if (deg > 0)
-                contrib[v] = score[v] / static_cast<double>(deg);
-              else
-                part += score[v];
-            }
-            return part;
-          },
-          plus);
-      const double dangling_share = params.damping * dangling / nd;
-      const double change = par::reduce_blocks(
-          n, 256, 0.0,
-          [&](std::int64_t b, std::int64_t e) {
-            double part = 0.0;
-            auto&& rd = block_reader(g);
-            for (NodeId v = b; v < e; ++v) {
-              double incoming = 0.0;
-              rd.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
-              const double next =
-                  base + dangling_share + params.damping * incoming;
-              part += next > score[v] ? next - score[v] : score[v] - next;
-              score[v] = next;
-            }
-            return part;
-          },
-          plus);
+      const double change = pagerank_sweep(g, params.damping, score, contrib);
       ++r.iterations;
       r.active_vertices += static_cast<std::uint64_t>(n);
       if (change < params.tolerance) break;
@@ -139,17 +110,10 @@ IncrementalPageRankResult incremental_pagerank(
   // Fresh contributions and dangling mass from the NEWER view — degrees and
   // the dangling set may have changed, and the full kernel this verifies
   // against sees exactly these. One division per vertex here keeps the
-  // frontier pulls division-free (they read contrib[], not score/degree).
-  double dangling = 0.0;
-#pragma omp parallel for reduction(+ : dangling) schedule(static)
-  for (NodeId v = 0; v < n; ++v) {
-    const std::int64_t deg = g.out_degree(v);
-    if (deg > 0)
-      contrib[v] = score[v] / static_cast<double>(deg);
-    else
-      dangling += score[v];
-  }
-  const double dangling_share = params.damping * dangling / nd;
+  // frontier pulls division-free (they read contrib[], not score/degree);
+  // the dangling sum combines in block order at any thread count.
+  const double dangling_share =
+      params.damping * pagerank_contributions(g, score, contrib) / nd;
   const double eps = params.tolerance / nd;
 
   // Frontier work budget: the phase only pays off while it touches a small
@@ -189,8 +153,7 @@ IncrementalPageRankResult incremental_pagerank(
         rd.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
         const double next =
             base + dangling_share + params.damping * incoming;
-        const double diff =
-            next > score[v] ? next - score[v] : score[v] - next;
+        const double diff = std::abs(next - score[v]);
         residual += diff;
         score[v] = next;
         const std::int64_t deg = g.out_degree(v);

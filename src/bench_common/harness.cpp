@@ -326,6 +326,17 @@ LiveIngestResult run_live_ingest(IStore& store, std::span<const Edge> body,
 
 namespace {
 
+// DgapOptions::max_writer_threads for a bench store. writer_slot() binds an
+// undo-log slot to every distinct thread that ever rebalances: the bench's
+// own writer threads, every scheduler worker (absorber tasks and offloaded
+// rebalances run on whichever worker is free) and the main thread, which
+// runs tasks while it waits on the scheduler; plus one slack.
+std::uint32_t writer_slots(int direct_writers) {
+  return static_cast<std::uint32_t>(
+      static_cast<std::size_t>(std::max(direct_writers, 0)) +
+      sched::TaskScheduler::global().num_workers() + 2);
+}
+
 // One dataset of the --incremental live driver: preload half, seed full
 // PR/CC over the preloaded cut, then — while paced producers trickle the
 // second half through the async ingestor — per round capture a cut, diff
@@ -340,8 +351,7 @@ bool run_live_incremental(const BenchConfig& cfg, const std::string& name,
   core::DgapOptions o;
   o.init_vertices = stream.num_vertices();
   o.init_edges = stream.num_edges();
-  o.max_writer_threads =
-      static_cast<std::uint32_t>(std::max(cfg.live_producers, 1) + 4);
+  o.max_writer_threads = writer_slots(cfg.live_producers);
   o.ingest_profile = cfg.tuning.profile;
   o.section_slots_hint = cfg.tuning.section_slots;
   o.dram_cache_mb = cfg.tuning.dram_cache_mb;
@@ -705,8 +715,7 @@ class DgapModel final : public IStore {
     core::DgapOptions o;
     o.init_vertices = vertices;
     o.init_edges = edges_estimate;
-    o.max_writer_threads =
-        static_cast<std::uint32_t>(std::max(writer_threads, 1) + 1);
+    o.max_writer_threads = writer_slots(writer_threads);
     o.ingest_profile = tuning.profile;
     o.section_slots_hint = tuning.section_slots;
     o.dram_cache_mb = tuning.dram_cache_mb;
@@ -949,9 +958,7 @@ std::unique_ptr<IStore> make_sharded_store(int shards, NodeId vertices,
   o.pool_bytes = std::max<std::uint64_t>(pool_mb_total / o.shards, 8) << 20;
   o.dgap.init_vertices = vertices;
   o.dgap.init_edges = edges_estimate;
-  // Writers + main thread + per-shard open/recovery thread slack.
-  o.dgap.max_writer_threads =
-      static_cast<std::uint32_t>(std::max(writer_threads, 1) + 2);
+  o.dgap.max_writer_threads = writer_slots(writer_threads);
   return std::make_unique<ShardedDgapModel>(core::ShardedStore::create(o));
 }
 

@@ -71,6 +71,9 @@ void DgapStore::trigger_rebalance(std::uint64_t seg_hint, bool force,
       resize_and_rebuild(0);
       continue;  // resize drained every log; trigger re-checks and exits
     }
+    // Bind this thread's undo-log slot before any section lock: it throws
+    // once max_writer_threads is exceeded, and must leave nothing held.
+    const std::uint32_t tid = writer_slot();
 
     // Acquire the window, then expand it to whole-run boundaries (a vertex
     // run may span sections). Expansion restarts acquisition so locks are
@@ -78,12 +81,27 @@ void DgapStore::trigger_rebalance(std::uint64_t seg_hint, bool force,
     std::uint64_t b = win.begin_seg;
     std::uint64_t e = win.end_seg;
     bool resized_instead = false;
+    // The window's section locks [b, held.end), released on every exit: a
+    // throw from promotion or from the rebalance itself must not leave a
+    // section locked, or every later writer to it spins forever.
+    struct HeldSections {
+      SectionTable<SectionMeta>& sections;
+      std::uint64_t begin = 0;
+      std::uint64_t end = 0;
+      void release() {
+        for (std::uint64_t s = begin; s < end; ++s) sections[s].lock.unlock();
+        end = begin;
+      }
+      ~HeldSections() { release(); }
+    } held{sections_, b, b};
     for (;;) {
       // Promote while locking: the window is about to be gathered and
       // rewritten in pmem. rebalance_mu_ (held) excludes demotions, so the
       // window stays resident for the whole operation.
+      held.begin = held.end = b;
       for (std::uint64_t s = b; s < e; ++s) {
         sections_[s].lock.lock();
+        held.end = s + 1;
         ensure_resident_locked(s);
       }
       std::uint64_t nb = b;
@@ -111,7 +129,7 @@ void DgapStore::trigger_rebalance(std::uint64_t seg_hint, bool force,
         // Too dense after expansion: escalate one level or give up to a
         // resize.
         if (b == 0 && e == num_segments_) {
-          for (std::uint64_t s = b; s < e; ++s) sections_[s].lock.unlock();
+          held.release();
           resize_and_rebuild(0);
           resized_instead = true;
           break;
@@ -120,14 +138,13 @@ void DgapStore::trigger_rebalance(std::uint64_t seg_hint, bool force,
         nb = round_down(b, span);
         ne = std::min(nb + span, num_segments_);
       }
-      for (std::uint64_t s = b; s < e; ++s) sections_[s].lock.unlock();
+      held.release();
       b = nb;
       e = ne;
     }
     if (resized_instead) continue;
 
-    rebalance_window_locked(b, e, writer_slot());
-    for (std::uint64_t s = b; s < e; ++s) sections_[s].lock.unlock();
+    rebalance_window_locked(b, e, tid);
   }
 }
 

@@ -306,7 +306,9 @@ AsyncIngestor::BatchFn dgap_batch_sink(core::DgapStore& store);
 // Convenience wiring for the paper's store: absorbers feed
 // dgap_batch_sink(store) directly (thread-safe, so the sink is not
 // serialized). The store must outlive the returned ingestor, and its
-// DgapOptions::max_writer_threads must cover the absorber count.
+// DgapOptions::max_writer_threads must cover every thread an absorber task
+// can run on: each scheduler worker plus any thread that waits on the
+// scheduler (it runs queued tasks inline).
 std::unique_ptr<AsyncIngestor> make_dgap_ingestor(
     core::DgapStore& store, AsyncIngestor::Options opts = {});
 

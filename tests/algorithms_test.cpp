@@ -131,6 +131,43 @@ TEST(PageRank, HandlesIsolatedVertices) {
   EXPECT_GT(scores[0], scores[2]);
 }
 
+TEST(PageRank, ToleranceStopsAtSerialIteration) {
+  // A plain serial loop with the same update decides at which iteration
+  // the total L1 change first drops below the tolerance; the
+  // tolerance-stopped kernel must stop after exactly that many.
+  const auto stream = symmetrize(generate_rmat(2000, 12000, 7));
+  const AdjGraph g(stream);
+  const NodeId n = g.num_nodes();
+  const double d = 0.85;
+  const double tol = 1e-6;
+  std::vector<double> score(static_cast<std::size_t>(n), 1.0 / n);
+  std::vector<double> contrib(static_cast<std::size_t>(n), 0.0);
+  int stop = 0;
+  for (int iter = 1; iter <= 200 && stop == 0; ++iter) {
+    double dangling = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      if (g.out_degree(v) > 0)
+        contrib[v] = score[v] / static_cast<double>(g.out_degree(v));
+      else
+        dangling += score[v];
+    }
+    double change = 0.0;
+    for (NodeId v = 0; v < n; ++v) {
+      double incoming = 0.0;
+      g.for_each_out(v, [&](NodeId u) { incoming += contrib[u]; });
+      const double next = (1.0 - d) / n + d * dangling / n + d * incoming;
+      change += next > score[v] ? next - score[v] : score[v] - next;
+      score[v] = next;
+    }
+    if (change < tol) stop = iter;
+  }
+  ASSERT_GT(stop, 1);
+  const auto stopped = pagerank(g, {.iterations = 200, .tolerance = tol});
+  EXPECT_EQ(stopped, pagerank(g, {.iterations = stop}));
+  EXPECT_NE(stopped, pagerank(g, {.iterations = stop - 1}));
+  for (NodeId v = 0; v < n; ++v) EXPECT_NEAR(stopped[v], score[v], 1e-12);
+}
+
 TEST(Bc, PathGraphCenterHighest) {
   // On the path 0-1-2-3-4 the middle vertex lies on the most shortest
   // paths. Accumulate over all sources for the exact textbook answer.

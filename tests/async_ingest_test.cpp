@@ -27,6 +27,7 @@
 #include "src/graph/adj_graph.hpp"
 #include "src/graph/generators.hpp"
 #include "src/ingest/async_ingestor.hpp"
+#include "src/sched/task_scheduler.hpp"
 
 namespace dgap::ingest {
 namespace {
@@ -36,12 +37,16 @@ using core::DgapStore;
 using core::Snapshot;
 using pmem::PmemPool;
 
-DgapOptions small_opts(std::uint32_t writers) {
+DgapOptions small_opts() {
   DgapOptions o;
   o.init_vertices = 64;
   o.init_edges = 512;
   o.segment_slots = 64;
-  o.max_writer_threads = writers + 1;
+  // Absorber tasks run on whichever scheduler worker is free, and a thread
+  // waiting on the scheduler runs tasks inline: one undo-log slot per
+  // worker, plus the test thread and one slack.
+  o.max_writer_threads = static_cast<std::uint32_t>(
+      sched::TaskScheduler::global().num_workers() + 2);
   return o;
 }
 
@@ -64,16 +69,16 @@ std::map<std::pair<NodeId, NodeId>, int> oracle_multiset(
 }
 
 struct AsyncFixture : ::testing::Test {
-  void make_store(std::uint32_t absorbers) {
+  void make_store() {
     pool = PmemPool::create({.path = "", .size = 64 << 20});
-    store = DgapStore::create(*pool, small_opts(absorbers));
+    store = DgapStore::create(*pool, small_opts());
   }
   std::unique_ptr<PmemPool> pool;
   std::unique_ptr<DgapStore> store;
 };
 
 TEST_F(AsyncFixture, SingleProducerOracleEquivalence) {
-  make_store(2);
+  make_store();
   const auto stream = symmetrize(generate_rmat(64, 3000, 42));
   AsyncIngestor::Options o;
   o.absorbers = 2;
@@ -103,7 +108,7 @@ TEST_F(AsyncFixture, SingleProducerOracleEquivalence) {
 }
 
 TEST_F(AsyncFixture, MultiProducerOracleEquivalence) {
-  make_store(2);
+  make_store();
   const auto stream = symmetrize(generate_rmat(64, 4000, 7));
   AsyncIngestor::Options o;
   o.absorbers = 2;
@@ -135,7 +140,7 @@ TEST_F(AsyncFixture, MultiProducerOracleEquivalence) {
 }
 
 TEST_F(AsyncFixture, DeletesFollowInsertsFromSameProducer) {
-  make_store(2);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 2;
   o.queues = 4;
@@ -166,7 +171,7 @@ TEST_F(AsyncFixture, DeletesFollowInsertsFromSameProducer) {
 }
 
 TEST_F(AsyncFixture, WaitDurableImpliesVisibility) {
-  make_store(1);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 1;
   auto ing = make_dgap_ingestor(*store, o);
@@ -197,7 +202,7 @@ TEST_F(AsyncFixture, WaitDurableImpliesVisibility) {
 }
 
 TEST_F(AsyncFixture, BackpressureBoundsQueues) {
-  make_store(1);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 1;
   o.queues = 1;
@@ -233,7 +238,7 @@ TEST_F(AsyncFixture, BackpressureBoundsQueues) {
 }
 
 TEST_F(AsyncFixture, DestructorDrainsQueuedEdges) {
-  make_store(2);
+  make_store();
   const auto stream = symmetrize(generate_rmat(64, 3000, 21));
   const auto& edges = stream.edges();
   {
@@ -253,7 +258,7 @@ TEST_F(AsyncFixture, DestructorDrainsQueuedEdges) {
 }
 
 TEST_F(AsyncFixture, RejectsNegativeIdsProducerSide) {
-  make_store(1);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 1;
   auto ing = make_dgap_ingestor(*store, o);
@@ -270,7 +275,7 @@ TEST_F(AsyncFixture, RejectsNegativeIdsProducerSide) {
 // monotonically increasing destinations, so any gap or reordering in a
 // snapshot is detectable.
 TEST_F(AsyncFixture, SnapshotMidStreamSeesChronologicalPrefixes) {
-  make_store(2);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 2;
   o.queues = 4;
@@ -323,7 +328,7 @@ TEST_F(AsyncFixture, SnapshotMidStreamSeesChronologicalPrefixes) {
 // partial chunk. wait_durable must therefore return promptly instead of
 // hanging until absorb_min_edges accumulate.
 TEST_F(AsyncFixture, FlushDeadlineClosesTailEpochsUnderTrickle) {
-  make_store(1);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 1;
   o.absorb_min_edges = 4096;     // far more than we will ever submit
@@ -357,7 +362,7 @@ TEST_F(AsyncFixture, FlushDeadlineClosesTailEpochsUnderTrickle) {
 // signaled) by a flooded sibling queue. A global idle-only deadline would
 // starve the trickle queue here and this wait_durable would never return.
 TEST_F(AsyncFixture, FlushDeadlineNotStarvedByBusySiblingQueues) {
-  make_store(1);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 1;
   o.queues = 2;
@@ -406,7 +411,7 @@ TEST(AsyncIngestorApi, GatherThresholdRequiresDeadline) {
 // Options::route replaces the built-in block routing without touching any
 // other wiring; per-source FIFO and oracle equivalence still hold.
 TEST_F(AsyncFixture, CustomRouteOptionIsUsed) {
-  make_store(2);
+  make_store();
   AsyncIngestor::Options o;
   o.absorbers = 2;
   o.queues = 4;
@@ -586,7 +591,7 @@ TEST(AsyncIngestorApi, AutotuneConvergesBetweenTrickleAndFlood) {
 // Autotune rides the normal absorption machinery: oracle equivalence and
 // full durability are unchanged.
 TEST_F(AsyncFixture, AutotuneOracleEquivalence) {
-  make_store(2);
+  make_store();
   const auto stream = symmetrize(generate_rmat(64, 3000, 21));
   AsyncIngestor::Options o;
   o.absorbers = 2;

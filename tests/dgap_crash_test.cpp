@@ -25,6 +25,7 @@
 #include "src/graph/adj_graph.hpp"
 #include "src/graph/generators.hpp"
 #include "src/ingest/async_ingestor.hpp"
+#include "src/sched/task_scheduler.hpp"
 
 namespace dgap::core {
 namespace {
@@ -599,7 +600,10 @@ TEST(DgapCrash, AsyncIngestorDestructorDrainsDurably) {
   auto pool =
       PmemPool::create({.path = "", .size = 16 << 20, .shadow = true});
   DgapOptions o = crash_opts();
-  o.max_writer_threads = 3;  // 2 absorbers + slack
+  // Absorber tasks run on any scheduler worker; the destructor's drain
+  // runs tasks inline on this thread.
+  o.max_writer_threads = static_cast<std::uint32_t>(
+      sched::TaskScheduler::global().num_workers() + 2);
   auto store = DgapStore::create(*pool, o);
   {
     ingest::AsyncIngestor::Options io;

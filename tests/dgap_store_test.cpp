@@ -6,14 +6,17 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <map>
+#include <stdexcept>
 #include <thread>
 
 #include "src/core/dgap_store.hpp"
 #include "src/graph/adj_graph.hpp"
 #include "src/graph/datasets.hpp"
 #include "src/graph/generators.hpp"
+#include "tests/watchdog.hpp"
 
 namespace dgap::core {
 namespace {
@@ -531,6 +534,53 @@ TEST(DgapStore, MultiThreadedWritersMatchOracle) {
   std::string why;
   ASSERT_TRUE(store->check_invariants(&why)) << why;
   expect_matches_oracle(*store, oracle, "mt");
+}
+
+TEST(DgapStore, WriterSlotExhaustionFailsClosed) {
+  // A rebalance on one thread more than max_writer_threads must throw and
+  // leave no section locked; a leaked lock would hang the inserts below.
+  const tests::Watchdog dog(std::chrono::seconds(120));
+  auto pool = make_pool(64);
+  DgapOptions o = small_opts();
+  o.max_writer_threads = 1;
+  auto store = DgapStore::create(*pool, o);
+  AdjGraph oracle(o.init_vertices);
+
+  // The main thread rebalances first and so binds the only undo-log slot.
+  for (NodeId i = 0; store->stats().rebalances == 0; ++i) {
+    store->insert_edge(0, i % 64);
+    oracle.add_edge(0, i % 64);
+  }
+
+  NodeId inserted = 0;
+  bool threw = false;
+  std::thread second([&] {
+    try {
+      for (NodeId i = 0; i < 4096; ++i, ++inserted)
+        store->insert_edge(1, i % 64);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+  });
+  second.join();
+  ASSERT_TRUE(threw);
+  for (NodeId i = 0; i < inserted; ++i) oracle.add_edge(1, i % 64);
+  // The throwing call may or may not have placed its edge before it
+  // triggered the rebalance.
+  const std::int64_t deg = store->consistent_view().out_degree(1);
+  ASSERT_TRUE(deg == inserted || deg == inserted + 1) << deg;
+  if (deg == inserted + 1) oracle.add_edge(1, inserted % 64);
+
+  const std::uint64_t resizes_before = store->stats().resizes;
+  const auto stream = generate_uniform(64, 20000, 23);
+  for (const Edge& e : stream.edges()) {
+    store->insert_edge(e.src, e.dst);
+    oracle.add_edge(e.src, e.dst);
+  }
+  EXPECT_GT(store->stats().resizes, resizes_before);
+  std::string why;
+  ASSERT_TRUE(store->check_invariants(&why)) << why;
+  expect_matches_oracle(*store, oracle, "after slot exhaustion");
 }
 
 TEST(DgapStore, ConcurrentReadersDuringWrites) {

@@ -29,6 +29,7 @@
 #include "src/core/sharded_store.hpp"
 #include "src/core/snapshot_delta.hpp"
 #include "src/graph/generators.hpp"
+#include "src/sched/parallel.hpp"
 
 namespace dgap::core {
 namespace {
@@ -427,6 +428,58 @@ TEST(IncrementalKernels, SeedSizeMismatchFallsBackToSeededFull) {
   const auto cc = algorithms::incremental_cc(b, d, wrong_labels);
   EXPECT_TRUE(cc.full_fallback);
   EXPECT_EQ(cc.labels, algorithms::connected_components(b));
+}
+
+TEST(IncrementalKernels, EmptySeedFallbackEqualsToleranceStoppedFull) {
+  // The fallback runs pagerank.hpp's own sweep from the uniform start, so
+  // it is the tolerance-stopped full kernel, bit for bit.
+  auto pool = make_pool(32);
+  auto store = DgapStore::create(*pool, small_opts());
+  const auto stream = symmetrize(generate_rmat(128, 1500, 9));
+  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
+  const Snapshot a = store->consistent_view();
+  store->insert_edge(0, 1);
+  const Snapshot b = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(a, b);
+
+  const algorithms::IncrementalPageRankParams ipr{};
+  const auto r = algorithms::incremental_pagerank(b, d, {}, ipr);
+  EXPECT_TRUE(r.full_fallback);
+  EXPECT_EQ(r.scores, algorithms::pagerank(
+                          b, {.iterations = ipr.max_iterations,
+                              .damping = ipr.damping,
+                              .tolerance = ipr.tolerance}));
+}
+
+TEST(IncrementalKernels, PageRankIdenticalAcrossKernelThreadCounts) {
+  // A directed R-MAT leaves many sinks, so the seeded contribution pass
+  // sums a real dangling mass; it must combine in the same order at any
+  // kernel thread count.
+  auto pool = make_pool(64);
+  DgapOptions o = small_opts();
+  o.init_vertices = 4096;
+  o.init_edges = 16384;
+  auto store = DgapStore::create(*pool, o);
+  const auto stream = generate_rmat(4096, 8000, 31);
+  for (const Edge& e : stream.edges()) store->insert_edge(e.src, e.dst);
+  const Snapshot a = store->consistent_view();
+  const algorithms::IncrementalPageRankParams ipr{};
+  const std::vector<double> seed = algorithms::pagerank(
+      a, {.iterations = 200, .tolerance = ipr.tolerance});
+  std::mt19937 rng(5);
+  for (int i = 0; i < 64; ++i) store->insert_edge(rng() % 4096, rng() % 4096);
+  const Snapshot b = store->consistent_view();
+  const SnapshotDelta d = snapshot_delta(a, b);
+
+  const auto run = [&](int threads) {
+    const par::ScopedKernelThreads scope(threads);
+    return algorithms::incremental_pagerank(b, d, seed, ipr);
+  };
+  const auto one = run(1);
+  const auto four = run(4);
+  EXPECT_FALSE(one.full_fallback);
+  EXPECT_EQ(one.iterations, four.iterations);
+  EXPECT_EQ(one.scores, four.scores);
 }
 
 TEST(IncrementalKernels, DeleteSplitsComponentScopedRecompute) {

@@ -19,11 +19,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
-#include <mutex>
 #include <optional>
 #include <stdexcept>
 #include <thread>
@@ -35,6 +31,7 @@
 #include "src/core/dgap_store.hpp"
 #include "src/graph/generators.hpp"
 #include "src/sched/parallel.hpp"
+#include "tests/watchdog.hpp"
 
 namespace dgap::core {
 namespace {
@@ -236,38 +233,9 @@ TEST(SnapshotConcurrency, ThrowingCallbackReleasesLaneAndPin) {
   EXPECT_EQ(snap.neighbors(5), (std::vector<NodeId>{6, 7, 8}));
 }
 
-// Aborts the process when the test body outlives `limit`: a reader that
-// fails to back off deadlocks a structural op, and a hang must read as a
-// failure, not as a CI timeout.
-class Watchdog {
- public:
-  explicit Watchdog(std::chrono::seconds limit)
-      : thread_([this, limit] {
-          std::unique_lock<std::mutex> g(mu_);
-          if (!cv_.wait_for(g, limit, [this] { return done_; })) {
-            std::fprintf(stderr, "watchdog: test exceeded %llds\n",
-                         static_cast<long long>(limit.count()));
-            std::abort();
-          }
-        }) {}
-  ~Watchdog() {
-    {
-      std::lock_guard<std::mutex> g(mu_);
-      done_ = true;
-    }
-    cv_.notify_all();
-    thread_.join();
-  }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool done_ = false;
-  std::thread thread_;
-};
-
 TEST(SnapshotConcurrency, BlockReadersBackOffUnderHubFlood) {
-  const Watchdog dog(std::chrono::seconds(240));
+  // A reader that fails to back off deadlocks a structural op.
+  const tests::Watchdog dog(std::chrono::seconds(240));
   auto pool = PmemPool::create({.path = "", .size = 256 << 20});
   DgapOptions o = tiny_opts();
   o.init_vertices = 256;
